@@ -152,19 +152,12 @@ class EntropyStepRecord:
     entropy_mass_new: float
 
 
-def _side_arrays(mesh: SphereMesh, decomp: ConvexDecomposition):
-    fid = decomp.face_index
-    sign = decomp.face_sign
-    valid = decomp.valid
-    safe = np.maximum(fid, 0)
-    return fid, sign, valid, safe
-
-
 def entropy_report(nf: NumericalFlux, decomp: ConvexDecomposition,
                    spec: EntropySpec) -> EntropyStepRecord:
-    """Evaluate the discrete entropy inequalities for one step and entropy."""
-    mesh = nf.table.mesh
-    fid, sign, valid, safe = _side_arrays(mesh, decomp)
+    """Evaluate the discrete entropy inequalities for one step and entropy,
+    per (cell, face) slot of the mesh."""
+    mesh = decomp.mesh
+    fid, sign, cell = mesh.cell_faces, mesh.cell_signs, mesh.slot_cell
     a, b = decomp.u_left, decomp.u_right
 
     if spec.kind == "kruzkov":
@@ -176,28 +169,25 @@ def entropy_report(nf: NumericalFlux, decomp: ConvexDecomposition,
         G_cons_l = nf.smooth_consistent(spec.dU, a)
         G_cons_r = nf.smooth_consistent(spec.dU, b)
 
-    # F_{e,K}(u_K, u_Ke) - F_{e,K}(u_K, u_K) per (cell, face) slot
-    Gdiff = np.where(valid,
-                     np.where(sign > 0, G[safe] - G_cons_l[safe],
-                              -G[safe] + G_cons_r[safe]),
-                     0.0)
-    U_old = spec.u_values(decomp.u_old)[:, None]
-    mu = decomp.mu[:, None]
-    pc10 = np.where(valid, spec.u_values(decomp.utilde) - U_old + mu * Gdiff, 0.0)
-    R = np.where(valid, spec.u_values(decomp.u_ke) - spec.u_values(decomp.utilde), 0.0)
-    pc11 = np.where(valid, spec.u_values(decomp.u_ke) - U_old + mu * Gdiff - R, 0.0)
+    # F_{e,K}(u_K, u_Ke) - F_{e,K}(u_K, u_K) per slot
+    Gdiff = np.where(sign > 0, G[fid] - G_cons_l[fid], -G[fid] + G_cons_r[fid])
+    U_old = spec.u_values(decomp.u_old)[cell]
+    mu = decomp.mu[cell]
+    U_tilde = spec.u_values(decomp.utilde)
+    U_ke = spec.u_values(decomp.u_ke)
+    pc10 = U_tilde - U_old + mu * Gdiff
+    R = U_ke - U_tilde
+    pc11 = U_ke - U_old + mu * Gdiff - R
 
     # dissipation estimate with the modulus of convexity
-    area = mesh.cell_area[:, None]
-    perim = mesh.cell_perimeter[:, None]
-    measure = np.where(valid, mesh.face_measure[safe], 0.0)
-    wKe = measure * area / perim
+    measure = mesh.face_measure[fid]
+    wKe = measure * mesh.cell_area[cell] / mesh.cell_perimeter[cell]
     u_new = decomp.u_new
-    diss = np.sum(wKe * np.where(valid, (decomp.u_ke - u_new[:, None]) ** 2, 0.0))
+    diss = np.sum(wKe * (decomp.u_ke - u_new[cell]) ** 2)
     alpha = spec.convexity_modulus(nf.table.box)
     mass_old = float(np.sum(spec.u_values(decomp.u_old) * mesh.cell_area))
     mass_new = float(np.sum(spec.u_values(u_new) * mesh.cell_area))
-    own_F = np.where(valid, np.where(sign > 0, G_cons_l[safe], -G_cons_r[safe]), 0.0)
+    own_F = np.where(sign > 0, G_cons_l[fid], -G_cons_r[fid])
     flux_term = float(np.sum(decomp.tau * measure * own_F))
     r_term = float(np.sum(wKe * R))
     lhs = mass_new + 0.5 * alpha * float(diss)
@@ -289,8 +279,7 @@ class Monitor:
 
     def _base_record(self, state, dissipation, worst_pc10) -> DiagnosticsRecord:
         u = state.u
-        tv = {name: float(np.sum(w * np.abs(u[self.mesh.face_left]
-                                            - u[self.mesh.face_right])))
+        tv = {name: discrete_tv_x(state, None, weights=w)
               for name, w in self.tv_fields.items()}
         emass = {spec.name: float(np.sum(spec.u_values(u) * self.mesh.cell_area))
                  for spec in self.entropies}

@@ -16,9 +16,10 @@ box, which makes consistency exact and monotonicity hold to rounding:
 
 A face value is computed once in the canonical orientation and enters the two
 adjacent cells with opposite signs, so the conservation property is exact in
-floating point.  Per-cell face accumulation uses the fixed [W, E, N, S] order
-(rim faces in increasing phi order for the pole caps) and pairwise sums, so
-results do not depend on how the face loop is chunked across workers.
+floating point.  Per-cell face accumulation runs over the mesh's flat
+(cell, face) slots with ``SphereMesh.cell_sum``, in the fixed [W, E, N, S]
+order (rim faces in increasing phi order for the pole caps), so results do
+not depend on how the face loop is chunked across workers.
 
 The module also provides the numerical entropy fluxes that accompany each
 scheme (Crandall-Majda form for Kruzkov entropies; the classical companions
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -141,20 +142,18 @@ class FaceFluxTable:
         # bracket sign changes of s' and refine by bisection
         sign = np.signbit(d)
         change = sign[:, 1:] != sign[:, :-1]
-        max_crit = int(change.sum(axis=1).max()) if change.size else 0
+        count = change.sum(axis=1)
+        max_crit = int(count.max()) if count.size else 0
         crit = np.full((self.n_faces, max_crit), np.nan)
         if max_crit:
+            # bracket k of a face is its k-th sign change in increasing u
+            rows, cols = np.nonzero(change)
+            rank = np.arange(rows.size) - (np.cumsum(count) - count)[rows]
             a = np.full((self.n_faces, max_crit), lo)
             b = np.full((self.n_faces, max_crit), lo)
-            count = np.zeros(self.n_faces, dtype=int)
-            rows, cols = np.nonzero(change)
-            for r, c in zip(rows, cols):
-                a[r, count[r]] = grid[c]
-                b[r, count[r]] = grid[c + 1]
-                count[r] += 1
-            mask = np.zeros((self.n_faces, max_crit), dtype=bool)
-            for r in range(self.n_faces):
-                mask[r, :count[r]] = True
+            a[rows, rank] = grid[cols]
+            b[rows, rank] = grid[cols + 1]
+            mask = np.arange(max_crit) < count[:, None]
             fa = np.where(mask, self._col_sp(a), 0.0)
             for _ in range(60):
                 mid = 0.5 * (a + b)
@@ -165,8 +164,8 @@ class FaceFluxTable:
                 b = np.where(left, b, mid)
             crit = np.where(mask, 0.5 * (a + b), np.nan)
         self.crit = crit
-        self.crit_s = np.where(np.isnan(crit), 0.0, self._col_s(np.nan_to_num(crit, nan=lo)))
-        self.crit_s = np.where(np.isnan(crit), np.nan, self.crit_s)
+        self.crit_s = np.where(np.isnan(crit), np.nan,
+                               self._col_s(np.nan_to_num(crit, nan=lo)))
 
     def _col_s(self, cols):
         """s at an (F, C) array of per-face states (column-by-column)."""
@@ -392,11 +391,9 @@ def numerical_flux(nf: NumericalFlux, face_id: int, side_cell: int,
         a, b = float(v), float(u)
     else:
         raise ConfigError(f"cell {side_cell} is not adjacent to face {face_id}")
-    aa = np.full(t.n_faces, t.box[0])
-    bb = np.full(t.n_faces, t.box[0])
-    aa[face_id] = a
-    bb[face_id] = b
-    return float(sign * nf.values(aa, bb)[face_id])
+    one = NumericalFlux(kind=nf.kind, table=t.view([face_id]),
+                        monotonicity_tol=nf.monotonicity_tol)
+    return float(sign * one.values(np.array([a]), np.array([b]))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -441,22 +438,20 @@ def cfl_timestep(mesh: SphereMesh, flux: FluxField, nf: NumericalFlux,
 class ConvexDecomposition:
     """Per-step intermediate states behind the entropy diagnostics.
 
-    For each cell K and boundary face e (padded arrays, invalid slots masked):
+    For each (cell K, face e) slot of the mesh (see ``SphereMesh``):
     ``utilde[K, e] = u_K - mu_K (f_{e,K}(u_K, u_Ke) - f_{e,K}(u_K, u_K))`` and
     ``u_ke[K, e] = utilde[K, e] - div_corr[K]`` with the divergence correction
     computed from the scheme's own face quadrature, so that the weighted mean
     of ``u_ke`` reconstructs the updated cell average to rounding."""
 
+    mesh: SphereMesh
     tau: float
     u_old: np.ndarray             # (N,)
     u_new: np.ndarray             # (N,)
     mu: np.ndarray                # (N,) tau p_K / |K|
-    utilde: np.ndarray            # (N, D)
-    u_ke: np.ndarray              # (N, D)
+    utilde: np.ndarray            # (S,)
+    u_ke: np.ndarray              # (S,)
     div_corr: np.ndarray          # (N,) (tau/|K|) sum_e sign |e| s_e(u_K)
-    valid: np.ndarray             # (N, D) bool
-    face_index: np.ndarray        # (N, D) face ids (-1 padding)
-    face_sign: np.ndarray         # (N, D)
     flux_canonical: np.ndarray    # (F,) numerical flux values, canonical
     u_left: np.ndarray            # (F,)
     u_right: np.ndarray           # (F,)
@@ -465,28 +460,21 @@ class ConvexDecomposition:
 
     def reconstruction_residual(self) -> float:
         """Max |u_new_K - (1/p_K) sum_e |e| u_{K,e}|."""
-        mesh_measure = self._measures
-        recon = np.sum(np.where(self.valid, mesh_measure * self.u_ke, 0.0), axis=1)
-        p = np.sum(np.where(self.valid, mesh_measure, 0.0), axis=1)
-        return float(np.max(np.abs(recon / p - self.u_new)))
-
-    @property
-    def _measures(self):
-        return np.where(self.face_index >= 0,
-                        self._face_measure[np.maximum(self.face_index, 0)], 0.0)
-
-    _face_measure: np.ndarray = field(default=None, repr=False)
+        mesh = self.mesh
+        recon = mesh.cell_sum(mesh.face_measure[mesh.cell_faces] * self.u_ke)
+        return float(np.max(np.abs(recon / mesh.cell_perimeter - self.u_new)))
 
 
 def step(state: SolverState, flux: FluxField, nf: NumericalFlux,
          threads: int = 1, need_decomposition: bool = True) -> tuple:
     """One explicit update; returns (new state, convex decomposition).
 
-    With ``need_decomposition=False`` the decomposition arrays (which are as
-    wide as the largest cell valence, dominated by the pole caps) are skipped
-    and ``None`` is returned in their place; the update itself is unchanged."""
+    Each cell sums its signed face fluxes over its mesh slots in their fixed
+    order.  With ``need_decomposition=False`` the decomposition (two per-slot
+    state arrays and the divergence correction, a sizeable share of a plain
+    step) is skipped and ``None`` is returned in its place; the update itself
+    is unchanged."""
     mesh = state.mesh
-    t = nf.table
     u = state.u
     tau = state.tau
     if tau <= 0.0:
@@ -497,22 +485,10 @@ def step(state: SolverState, flux: FluxField, nf: NumericalFlux,
     b = u[mesh.face_right]
     fvals, s_a, s_b = _face_fluxes(nf, a, b, threads)
 
-    # cell update in fixed face order; the static padded index and measure
-    # arrays are cached on the mesh (padded slots carry an exact zero signed
-    # measure, so they contribute exact zeros to the fixed-order sum)
-    cache = getattr(mesh, "_step_cache", None)
-    if cache is None:
-        fid = mesh.cell_faces
-        sign = mesh.cell_signs
-        valid = fid >= 0
-        safe = np.maximum(fid, 0)
-        measure = np.where(valid, mesh.face_measure[safe], 0.0)
-        signed_measure = np.where(valid, sign * measure, 0.0)
-        cache = (fid, sign, valid, safe, measure, signed_measure)
-        mesh._step_cache = cache
-    fid, sign, valid, safe, measure, signed_measure = cache
-    contrib = signed_measure * fvals[safe]
-    u_new = u - (tau / mesh.cell_area) * np.sum(contrib, axis=1)
+    fid = mesh.cell_faces
+    sign = mesh.cell_signs
+    measure = mesh.face_measure[fid]
+    u_new = u - (tau / mesh.cell_area) * mesh.cell_sum(sign * measure * fvals[fid])
     if not np.all(np.isfinite(u_new)):
         bad = int(np.flatnonzero(~np.isfinite(u_new))[0])
         raise InputError(f"non-finite update in cell {bad} "
@@ -523,20 +499,18 @@ def step(state: SolverState, flux: FluxField, nf: NumericalFlux,
     if not need_decomposition:
         return new_state, None
 
-    # convex decomposition
+    # convex decomposition, per slot
+    cell = mesh.slot_cell
     mu = tau * mesh.cell_perimeter / mesh.cell_area
-    own_s = np.where(valid, np.where(sign > 0, s_a[safe], s_b[safe]), 0.0)
-    fdiff = np.where(valid, sign * fvals[safe] - sign * own_s, 0.0)
-    utilde = np.where(valid, u[:, None] - mu[:, None] * fdiff, u[:, None])
-    div_corr = (tau / mesh.cell_area) * np.sum(
-        np.where(valid, sign * measure * own_s, 0.0), axis=1)
-    u_ke = utilde - div_corr[:, None]
+    own_s = np.where(sign > 0, s_a[fid], s_b[fid])
+    utilde = u[cell] - mu[cell] * (sign * fvals[fid] - sign * own_s)
+    div_corr = (tau / mesh.cell_area) * mesh.cell_sum(sign * measure * own_s)
+    u_ke = utilde - div_corr[cell]
 
     decomp = ConvexDecomposition(
-        tau=tau, u_old=u, u_new=u_new, mu=mu, utilde=utilde, u_ke=u_ke,
-        div_corr=div_corr, valid=valid, face_index=fid, face_sign=sign,
-        flux_canonical=fvals, u_left=a, u_right=b, s_left=s_a, s_right=s_b,
-        _face_measure=mesh.face_measure)
+        mesh=mesh, tau=tau, u_old=u, u_new=u_new, mu=mu, utilde=utilde,
+        u_ke=u_ke, div_corr=div_corr, flux_canonical=fvals, u_left=a,
+        u_right=b, s_left=s_a, s_right=s_b)
     return new_state, decomp
 
 

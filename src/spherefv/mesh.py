@@ -13,9 +13,13 @@ for meridian faces, increasing theta for latitude and rim faces); each side of
 a face sees the normal through a +/-1 sign, which makes the scheme's
 conservation property exact in floating point.
 
-Per-cell face lists follow a fixed order - [W, E, N, S] for band cells, rim
-faces in increasing phi order for caps - so that all reductions are
-deterministic regardless of how the work is chunked.
+The cell-face incidence is stored unpadded as S = 4 n_phi n_theta + 2 n_phi
+flat slots, one per (cell, face) pair: the band cells' slots come first, four
+per cell in the fixed order [W, E, N, S], then the north and the south cap,
+n_phi rim slots each in increasing phi order.  Every cell owns a contiguous
+run of slots, and ``SphereMesh.cell_sum`` reduces per-slot values over each
+run in that fixed order, so all per-cell reductions are deterministic
+regardless of how the work is chunked.
 """
 
 from __future__ import annotations
@@ -68,7 +72,10 @@ class Cell:
 
 @dataclass
 class SphereMesh:
-    """Mesh container with both object views and packed arrays for the solver."""
+    """Mesh container with both object views and packed arrays for the solver.
+
+    Per-slot arrays have one entry per (cell, face) pair, in the slot order of
+    the module docstring."""
 
     n_phi: int
     n_theta: int
@@ -86,13 +93,16 @@ class SphereMesh:
     face_n_phi: np.ndarray
     face_n_theta: np.ndarray
     face_kind: list
-    # packed cell arrays (N cells, padded to the max face count)
+    # packed cell arrays (N cells)
     cell_area: np.ndarray
     cell_perimeter: np.ndarray
-    cell_faces: np.ndarray      # (N, D) face ids, -1 padding
-    cell_signs: np.ndarray      # (N, D) +/-1, 0 padding
     cell_centroid: np.ndarray   # (N, 2)
     cell_is_cap: np.ndarray
+    # packed slot arrays (S slots, each cell's slots contiguous)
+    cell_faces: np.ndarray      # (S,) face id of each slot
+    cell_signs: np.ndarray      # (S,) +1 when the canonical normal is outward, else -1
+    slot_cell: np.ndarray       # (S,) owning cell of each slot
+    slot_start: np.ndarray      # (N,) first slot of each cell
 
     @property
     def n_cells(self) -> int:
@@ -101,6 +111,11 @@ class SphereMesh:
     @property
     def n_faces(self) -> int:
         return len(self.faces)
+
+    def cell_sum(self, slot_values: np.ndarray) -> np.ndarray:
+        """Per-cell sums of per-slot values, each taken over the cell's slots
+        in their fixed order."""
+        return np.add.reduceat(slot_values, self.slot_start)
 
 
 def _great_circle(p1, t1, p2, t2) -> float:
@@ -226,16 +241,9 @@ def build_latlon(n_phi: int, n_theta: int, theta_min: float) -> SphereMesh:
                 diam = max(diam, _great_circle(pts[a][0], pts[a][1], pts[b][0], pts[b][1]))
         h = max(h, diam)
 
-    # packed arrays
-    n_cells = len(cells)
-    n_faces_total = len(faces)
-    max_deg = max(len(c.faces) for c in cells)
-    cell_faces = np.full((n_cells, max_deg), -1, dtype=int)
-    cell_signs = np.zeros((n_cells, max_deg))
-    for c in cells:
-        for k, (fid, sign) in enumerate(c.faces):
-            cell_faces[c.id, k] = fid
-            cell_signs[c.id, k] = sign
+    # packed slot arrays, cells in id order
+    slots = [pair for c in cells for pair in c.faces]
+    degree = np.array([len(c.faces) for c in cells])
 
     mesh = SphereMesh(
         n_phi=n_phi, n_theta=n_theta, theta_min=theta_min,
@@ -251,10 +259,12 @@ def build_latlon(n_phi: int, n_theta: int, theta_min: float) -> SphereMesh:
         face_kind=[f.kind for f in faces],
         cell_area=np.array([c.area for c in cells]),
         cell_perimeter=np.array([c.perimeter for c in cells]),
-        cell_faces=cell_faces,
-        cell_signs=cell_signs,
         cell_centroid=np.array([c.centroid for c in cells]),
         cell_is_cap=np.array([c.is_pole_cap for c in cells]),
+        cell_faces=np.array([fid for fid, _ in slots], dtype=int),
+        cell_signs=np.array([sign for _, sign in slots], dtype=float),
+        slot_cell=np.repeat(np.arange(len(cells)), degree),
+        slot_start=np.cumsum(degree) - degree,
     )
     return mesh
 

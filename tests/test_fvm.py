@@ -181,9 +181,13 @@ def test_negative_time_rejected():
 # convex decomposition
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("kind", FLUX_KINDS)
-def test_reconstruction_identity(kind):
-    mesh, flux, nf, tau = _setup(kind)
+# n_phi=3 gives caps with fewer faces than the four of a band cell
+@pytest.mark.parametrize(
+    "kind, n_phi, n_theta",
+    [(kind, 8, 4) for kind in FLUX_KINDS] + [(kind, 3, 4) for kind in FLUX_KINDS],
+    ids=list(FLUX_KINDS) + [f"{kind}-nphi3" for kind in FLUX_KINDS])
+def test_reconstruction_identity(kind, n_phi, n_theta):
+    mesh, flux, nf, tau = _setup(kind, n_phi=n_phi, n_theta=n_theta)
     state = _initial(mesh)
     state.tau = tau
     for _ in range(10):
@@ -197,15 +201,15 @@ def test_intermediate_states_are_convex_combinations():
     state = _initial(mesh)
     state.tau = tau
     state, d = step(state, flux, nf)
-    other = np.where(d.face_sign > 0,
-                     d.u_right[np.maximum(d.face_index, 0)],
-                     d.u_left[np.maximum(d.face_index, 0)])
+    fid = mesh.cell_faces
+    own = d.u_old[mesh.slot_cell]
+    other = np.where(mesh.cell_signs > 0, d.u_right[fid], d.u_left[fid])
     with np.errstate(divide="ignore", invalid="ignore"):
-        lam = (d.u_old[:, None] - d.utilde) / (d.u_old[:, None] - other)
-    mask = d.valid & (np.abs(d.u_old[:, None] - other) > 1e-13)
+        lam = (own - d.utilde) / (own - other)
+    mask = np.abs(own - other) > 1e-13
     assert lam[mask].min() >= -1e-12
     assert lam[mask].max() <= 1.0 + 1e-12
-    recon = d.u_old[:, None] * (1.0 - lam) + other * lam
+    recon = own * (1.0 - lam) + other * lam
     assert np.abs((recon - d.utilde)[mask]).max() <= 1e-12
 
 

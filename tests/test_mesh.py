@@ -63,6 +63,17 @@ def test_face_pairing_and_orientation(small_mesh):
         vb = face_average_normal_flux(small_mesh, fid, cb, flux, 0.7)
         assert va == -vb
 
+    # the packed slot arrays carry the same pairing, unpadded
+    m = small_mesh
+    fid, sign = m.cell_faces, m.cell_signs
+    assert fid.shape == (4 * m.n_phi * m.n_theta + 2 * m.n_phi,)
+    assert np.array_equal(np.bincount(fid, minlength=m.n_faces), np.full(m.n_faces, 2))
+    assert np.array_equal(np.bincount(fid, weights=sign, minlength=m.n_faces),
+                          np.zeros(m.n_faces))
+    assert np.array_equal(m.slot_cell[sign > 0], m.face_left[fid[sign > 0]])
+    assert np.array_equal(m.slot_cell[sign < 0], m.face_right[fid[sign < 0]])
+    assert np.abs(m.cell_sum(m.face_measure[fid]) - m.cell_perimeter).max() <= 1e-14
+
 
 def test_face_average_examples(small_mesh):
     flux = make_flux("solid_rotation")
