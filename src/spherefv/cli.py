@@ -357,7 +357,7 @@ def convergence_study(cfg: ScenarioConfig, levels: int, out_dir: str,
         err = dg.l1_error(final, reference)
         rows.append({"level": level, "n_phi": sc.mesh.n_phi,
                      "n_theta": sc.mesh.n_theta, "h": sc.mesh.h,
-                     "tau": sc.tau, "l1_error": err})
+                     "h_band": sc.mesh.h_band, "tau": sc.tau, "l1_error": err})
 
     for i in range(1, len(rows)):
         e0, e1 = rows[i - 1]["l1_error"], rows[i]["l1_error"]
@@ -367,11 +367,13 @@ def convergence_study(cfg: ScenarioConfig, levels: int, out_dir: str,
 
     payload = {"command": "converge", "levels": rows, "overall_order": overall}
     _write_report(out_dir, payload)
-    print(f"{'level':>5} {'mesh':>10} {'h':>10} {'tau':>10} {'L1 error':>12} {'order':>7}")
+    print(f"{'level':>5} {'mesh':>10} {'h':>10} {'h_band':>10} {'tau':>10} "
+          f"{'L1 error':>12} {'order':>7}")
     for r in rows:
         order = f"{r['order']:.3f}" if "order" in r else "-"
         print(f"{r['level']:>5} {r['n_phi']:>4}x{r['n_theta']:<5} "
-              f"{r['h']:>10.4g} {r['tau']:>10.4g} {r['l1_error']:>12.5e} {order:>7}")
+              f"{r['h']:>10.4g} {r['h_band']:>10.4g} {r['tau']:>10.4g} "
+              f"{r['l1_error']:>12.5e} {order:>7}")
     print(f"overall observed order: {overall:.3f}")
     return 0
 
@@ -384,7 +386,7 @@ def cmd_mesh_info(cfg: ScenarioConfig, out_dir: str) -> int:
     mesh = meshmod.build_latlon(cfg.n_phi, cfg.n_theta, cfg.theta_min)
     info = meshmod.mesh_info(mesh)
     payload = {"command": "mesh-info", "n_cells": info.n_cells,
-               "n_faces": info.n_faces, "h": info.h,
+               "n_faces": info.n_faces, "h": info.h, "h_band": info.h_band,
                "area_min": info.area_min, "area_max": info.area_max,
                "total_area": info.total_area,
                "max_perimeter_ratio": info.max_perimeter_ratio}

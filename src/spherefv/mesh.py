@@ -20,12 +20,24 @@ n_phi rim slots each in increasing phi order.  Every cell owns a contiguous
 run of slots, and ``SphereMesh.cell_sum`` reduces per-slot values over each
 run in that fixed order, so all per-cell reductions are deterministic
 regardless of how the work is chunked.
+
+The mesh size h is the largest intrinsic (great-circle) cell diameter.  A cap
+is a geodesic disc of radius theta_min, of diameter 2 theta_min.  A band
+cell's diameter is reached at its corners (the distance grows with the
+longitude gap, and the rows lie symmetrically about the equator), and the
+cells of a row are congruent, so the band mesh size h_band is the largest over
+the rows j of the corner distances d(theta_j, theta_{j+1}, dphi),
+d(theta_j, theta_j, dphi), d(theta_{j+1}, theta_{j+1}, dphi) and
+d(theta_j, theta_{j+1}, 0), with d(t, t', dphi) the distance between points at
+colatitudes t and t' whose longitudes differ by dphi; h = max(2 theta_min,
+h_band).  With theta_min fixed the caps dominate h, and h_band is the size
+that halves under refinement.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -82,7 +94,8 @@ class SphereMesh:
     theta_min: float
     cells: list
     faces: list
-    h: float
+    h: float                    # largest cell diameter: max(2 theta_min, h_band)
+    h_band: float               # largest band-cell diameter (corner distances)
     # packed face arrays (F faces, 3 quadrature nodes each)
     face_left: np.ndarray
     face_right: np.ndarray
@@ -118,10 +131,11 @@ class SphereMesh:
         return np.add.reduceat(slot_values, self.slot_start)
 
 
-def _great_circle(p1, t1, p2, t2) -> float:
-    """Great-circle distance between (phi, theta) points on the unit sphere."""
-    c = (math.sin(t1) * math.sin(t2) * math.cos(p1 - p2) + math.cos(t1) * math.cos(t2))
-    return math.acos(min(1.0, max(-1.0, c)))
+def _arc(theta1, theta2, dphi):
+    """Great-circle distance between points at colatitudes theta1, theta2
+    whose longitudes differ by dphi (elementwise)."""
+    c = np.sin(theta1) * np.sin(theta2) * np.cos(dphi) + np.cos(theta1) * np.cos(theta2)
+    return np.arccos(np.clip(c, -1.0, 1.0))
 
 
 def build_latlon(n_phi: int, n_theta: int, theta_min: float) -> SphereMesh:
@@ -221,25 +235,11 @@ def build_latlon(n_phi: int, n_theta: int, theta_min: float) -> SphereMesh:
         cells.append(Cell(id=cap_id, area=cap_area, centroid=(0.0, centroid_theta),
                           faces=ordered, is_pole_cap=True, perimeter=perim))
 
-    # mesh size h: largest intrinsic cell diameter from sampled boundary points
-    h = 0.0
-    for cell in cells:
-        pts = []
-        for fid, _sign in cell.faces:
-            f = faces[fid]
-            s = np.linspace(0.0, 1.0, 8)
-            if f.kind == MERIDIAN:
-                ph = np.full_like(s, f.q_phi[0])
-                th = f.q_theta[1] - 0.5 * dtheta + s * dtheta
-            else:
-                th = np.full_like(s, f.q_theta[0])
-                ph = f.q_phi[1] - 0.5 * dphi + s * dphi
-            pts.extend(zip(ph, th))
-        diam = 0.0
-        for a in range(len(pts)):
-            for b in range(a + 1, len(pts)):
-                diam = max(diam, _great_circle(pts[a][0], pts[a][1], pts[b][0], pts[b][1]))
-        h = max(h, diam)
+    # mesh size h: the largest intrinsic cell diameter (module docstring)
+    lo, hi = thetas[:-1], thetas[1:]
+    h_band = float(np.max([_arc(lo, hi, dphi), _arc(lo, lo, dphi),
+                           _arc(hi, hi, dphi), _arc(lo, hi, 0.0)]))
+    h = max(2.0 * theta_min, h_band)
 
     # packed slot arrays, cells in id order
     slots = [pair for c in cells for pair in c.faces]
@@ -247,7 +247,7 @@ def build_latlon(n_phi: int, n_theta: int, theta_min: float) -> SphereMesh:
 
     mesh = SphereMesh(
         n_phi=n_phi, n_theta=n_theta, theta_min=theta_min,
-        cells=cells, faces=faces, h=h,
+        cells=cells, faces=faces, h=h, h_band=h_band,
         face_left=np.array([f.left for f in faces], dtype=int),
         face_right=np.array([f.right for f in faces], dtype=int),
         face_measure=np.array([f.measure for f in faces]),
@@ -292,6 +292,7 @@ class MeshInfo:
     n_cells: int
     n_faces: int
     h: float
+    h_band: float
     area_min: float
     area_max: float
     total_area: float
@@ -299,11 +300,13 @@ class MeshInfo:
 
 
 def mesh_info(mesh: SphereMesh) -> MeshInfo:
-    """Summary record: counts, mesh size h, area extremes, max p_K/|K|."""
+    """Summary record: counts, mesh sizes h and h_band, area extremes,
+    max p_K/|K|."""
     return MeshInfo(
         n_cells=mesh.n_cells,
         n_faces=mesh.n_faces,
         h=mesh.h,
+        h_band=mesh.h_band,
         area_min=float(mesh.cell_area.min()),
         area_max=float(mesh.cell_area.max()),
         total_area=float(np.sum(mesh.cell_area)),
@@ -319,37 +322,39 @@ def cell_averages(mesh: SphereMesh, func: Callable) -> np.ndarray:
     """Per-cell averages of ``func(phi, theta)`` with the area weight sin(theta).
 
     Uses a 3x3 tensor Gauss-Legendre rule per cell, self-normalized so that
-    constants are averaged exactly."""
+    constants are averaged exactly.  ``func`` is called once, on (N, 3, 3)
+    node grids of all cells."""
     dphi = 2.0 * math.pi / mesh.n_phi
-    band = math.pi - 2.0 * mesh.theta_min
-    dtheta = band / mesh.n_theta
-    out = np.empty(mesh.n_cells)
-    for c in mesh.cells:
-        if c.is_pole_cap:
-            th_lo, th_hi = ((0.0, mesh.theta_min) if c.centroid[1] < math.pi / 2
-                            else (math.pi - mesh.theta_min, math.pi))
-            ph_lo, ph_hi = 0.0, 2.0 * math.pi
-        else:
-            ph_lo = c.centroid[0] - 0.5 * dphi
-            ph_hi = c.centroid[0] + 0.5 * dphi
-            th_lo = c.centroid[1] - 0.5 * dtheta
-            th_hi = c.centroid[1] + 0.5 * dtheta
-        ph = 0.5 * (ph_lo + ph_hi) + 0.5 * (ph_hi - ph_lo) * _GL_NODES
-        th = 0.5 * (th_lo + th_hi) + 0.5 * (th_hi - th_lo) * _GL_NODES
-        wp = 0.5 * (ph_hi - ph_lo) * _GL_WEIGHTS
-        wt = 0.5 * (th_hi - th_lo) * _GL_WEIGHTS
-        P, T = np.meshgrid(ph, th, indexing="ij")
-        W = np.outer(wp, wt) * np.sin(T)
-        vals = np.asarray(func(P, T), dtype=float)
-        out[c.id] = float(np.sum(W * vals) / np.sum(W))
-    return out
+    dtheta = (math.pi - 2.0 * mesh.theta_min) / mesh.n_theta
+    ph_c, th_c = mesh.cell_centroid.T
+    ph_lo, ph_hi = ph_c - 0.5 * dphi, ph_c + 0.5 * dphi
+    th_lo, th_hi = th_c - 0.5 * dtheta, th_c + 0.5 * dtheta
+    # caps span all longitudes, from their pole to the band edge
+    cap = mesh.cell_is_cap
+    north = cap & (th_c < math.pi / 2)
+    south = cap & ~north
+    ph_lo[cap], ph_hi[cap] = 0.0, 2.0 * math.pi
+    th_lo[north], th_hi[north] = 0.0, mesh.theta_min
+    th_lo[south], th_hi[south] = math.pi - mesh.theta_min, math.pi
+
+    def nodes_and_weights(lo, hi):
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        return mid[:, None] + half[:, None] * _GL_NODES, half[:, None] * _GL_WEIGHTS
+
+    ph, wp = nodes_and_weights(ph_lo, ph_hi)
+    th, wt = nodes_and_weights(th_lo, th_hi)
+    P = np.repeat(ph[:, :, None], 3, axis=2)     # P[k, a, b] = ph[k, a]
+    T = np.repeat(th[:, None, :], 3, axis=1)     # T[k, a, b] = th[k, b]
+    W = wp[:, :, None] * wt[:, None, :] * np.sin(T)
+    vals = np.asarray(func(P, T), dtype=float)
+    return np.sum(W * vals, axis=(1, 2)) / np.sum(W, axis=(1, 2))
 
 
 # ---------------------------------------------------------------------------
 # export
 # ---------------------------------------------------------------------------
 
-def _cell_polygon(mesh: SphereMesh, cell: Cell, rim_samples: int = 0):
+def _cell_polygon(mesh: SphereMesh, cell: Cell):
     """Corner points (phi, theta) of a cell's polygon, counter-clockwise."""
     dphi = 2.0 * math.pi / mesh.n_phi
     dtheta = (math.pi - 2.0 * mesh.theta_min) / mesh.n_theta

@@ -87,6 +87,7 @@ def test_mesh_info_command(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["n_cells"] == 8 * 4 + 2
     assert report["total_area"] == pytest.approx(4 * math.pi, rel=1e-12)
+    assert report["h"] == max(2 * 0.3, report["h_band"])
 
 
 def test_check_flux_command(tmp_path):
@@ -119,6 +120,9 @@ def test_converge_runs_two_levels(tmp_path):
     levels = report["levels"]
     assert len(levels) == 2
     assert levels[1]["l1_error"] < levels[0]["l1_error"]
+    # h never drops below the pole cap's 2 theta_min; h_band refines
+    assert all(lv["h"] == max(2 * 0.3, lv["h_band"]) for lv in levels)
+    assert abs(levels[0]["h_band"] / levels[1]["h_band"] - 2.0) <= 0.2
 
 
 def test_converge_requires_rotation_reference(tmp_path):

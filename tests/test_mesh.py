@@ -105,6 +105,55 @@ def test_mesh_info_counts_and_h_scaling():
     assert abs(h1 / h2 - 2.0) <= 0.2
 
 
+def _great_circle(p1, t1, p2, t2):
+    c = (math.sin(t1) * math.sin(t2) * math.cos(p1 - p2) + math.cos(t1) * math.cos(t2))
+    return math.acos(min(1.0, max(-1.0, c)))
+
+
+def _sampled_diameter(mesh):
+    """Reference mesh size: largest distance between 8 samples per face edge."""
+    dphi = 2.0 * math.pi / mesh.n_phi
+    dtheta = (math.pi - 2.0 * mesh.theta_min) / mesh.n_theta
+    h = 0.0
+    for cell in mesh.cells:
+        pts = []
+        for fid, _sign in cell.faces:
+            f = mesh.faces[fid]
+            s = np.linspace(0.0, 1.0, 8)
+            if f.kind == MERIDIAN:
+                ph = np.full_like(s, f.q_phi[0])
+                th = f.q_theta[1] - 0.5 * dtheta + s * dtheta
+            else:
+                th = np.full_like(s, f.q_theta[0])
+                ph = f.q_phi[1] - 0.5 * dphi + s * dphi
+            pts.extend(zip(ph, th))
+        diam = 0.0
+        for a in range(len(pts)):
+            for b in range(a + 1, len(pts)):
+                diam = max(diam, _great_circle(pts[a][0], pts[a][1], pts[b][0], pts[b][1]))
+        h = max(h, diam)
+    return h
+
+
+@pytest.mark.parametrize("n_phi,n_theta,theta_min", [
+    (3, 4, 0.3), (16, 8, 0.2), (32, 16, 0.1), (48, 24, 0.3), (47, 24, 0.3)])
+def test_mesh_size_closed_form_matches_sampled_diameter(n_phi, n_theta, theta_min):
+    mesh = build_latlon(n_phi, n_theta, theta_min)
+    oracle = _sampled_diameter(mesh)
+    assert mesh.h == max(2.0 * theta_min, mesh.h_band)
+    if n_phi % 2 == 0:
+        # antipodal rim points are samples, so the sampled caps are exact
+        assert mesh.h == pytest.approx(oracle, rel=1e-12, abs=0.0)
+    else:
+        # the samples miss the point opposite each rim sample; corners are
+        # samples, so a dominant band row agrees up to rounding
+        assert mesh.h >= oracle * (1.0 - 1e-12)
+        if mesh.h_band <= 2.0 * theta_min:
+            assert mesh.h == 2.0 * theta_min
+    if (n_phi, n_theta, theta_min) == (47, 24, 0.3):
+        assert oracle < mesh.h == 0.6
+
+
 def test_build_latlon_parameter_validation():
     with pytest.raises(ConfigError):
         build_latlon(2, 4, 0.3)
@@ -134,6 +183,59 @@ def test_cell_averages_examples(small_mesh):
 
     odd = cell_averages(small_mesh, lambda phi, theta: np.sin(phi))
     assert abs(float(odd @ small_mesh.cell_area)) <= 1e-12
+
+
+def _cell_averages_per_cell(mesh, func):
+    """Reference: the 3x3 Gauss-Legendre rule applied one cell at a time."""
+    gl_nodes = np.array([-math.sqrt(3.0 / 5.0), 0.0, math.sqrt(3.0 / 5.0)])
+    gl_weights = np.array([5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0])
+    dphi = 2.0 * math.pi / mesh.n_phi
+    dtheta = (math.pi - 2.0 * mesh.theta_min) / mesh.n_theta
+    out = np.empty(mesh.n_cells)
+    for c in mesh.cells:
+        if c.is_pole_cap:
+            th_lo, th_hi = ((0.0, mesh.theta_min) if c.centroid[1] < math.pi / 2
+                            else (math.pi - mesh.theta_min, math.pi))
+            ph_lo, ph_hi = 0.0, 2.0 * math.pi
+        else:
+            ph_lo = c.centroid[0] - 0.5 * dphi
+            ph_hi = c.centroid[0] + 0.5 * dphi
+            th_lo = c.centroid[1] - 0.5 * dtheta
+            th_hi = c.centroid[1] + 0.5 * dtheta
+        ph = 0.5 * (ph_lo + ph_hi) + 0.5 * (ph_hi - ph_lo) * gl_nodes
+        th = 0.5 * (th_lo + th_hi) + 0.5 * (th_hi - th_lo) * gl_nodes
+        wp = 0.5 * (ph_hi - ph_lo) * gl_weights
+        wt = 0.5 * (th_hi - th_lo) * gl_weights
+        P, T = np.meshgrid(ph, th, indexing="ij")
+        W = np.outer(wp, wt) * np.sin(T)
+        vals = np.asarray(func(P, T), dtype=float)
+        out[c.id] = float(np.sum(W * vals) / np.sum(W))
+    return out
+
+
+@pytest.mark.parametrize("n_phi,n_theta", [(3, 4), (12, 6), (47, 24)])
+def test_cell_averages_match_per_cell_rule(n_phi, n_theta):
+    mesh = build_latlon(n_phi, n_theta, 0.3)
+    funcs = [lambda phi, theta: np.exp(np.sin(phi) * np.cos(theta)) + theta ** 2,
+             lambda phi, theta: np.where(np.abs(theta - 1.5) < 0.4, 1.0 + np.cos(phi), 0.2),
+             lambda phi, theta: 3.25]
+    for func in funcs:
+        expected = _cell_averages_per_cell(mesh, func)
+        assert np.array_equal(cell_averages(mesh, func), expected)
+    const = cell_averages(mesh, funcs[-1])
+    assert const.shape == (mesh.n_cells,)
+    assert np.abs(const - 3.25).max() <= 1e-12
+
+
+def test_cell_averages_calls_func_once(small_mesh):
+    calls = []
+
+    def func(phi, theta):
+        calls.append(phi.shape)
+        return np.cos(theta)
+
+    cell_averages(small_mesh, func)
+    assert calls == [(small_mesh.n_cells, 3, 3)]
 
 
 def test_rim_faces_and_kinds(small_mesh):
