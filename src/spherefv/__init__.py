@@ -44,8 +44,6 @@ from .flux import (
     tvd_compatibility,
 )
 from .mesh import (
-    Cell,
-    Face,
     MeshInfo,
     SphereMesh,
     build_latlon,

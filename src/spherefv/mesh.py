@@ -13,6 +13,18 @@ for meridian faces, increasing theta for latitude and rim faces); each side of
 a face sees the normal through a +/-1 sign, which makes the scheme's
 conservation property exact in floating point.
 
+The mesh is stored only as packed numpy arrays, built directly from this
+structure.  Band cell (i, j), between phi_i and phi_{i+1} and between theta_j
+and theta_{j+1}, has id j n_phi + i; the north cap is cell n_phi n_theta and
+the south cap the one after it.  Face ids run, in order:
+
+- meridian faces, row-major: id j n_phi + i is the face at phi_{i+1} between
+  band cells (i, j) and (i+1, j);
+- latitude faces on theta_1 .. theta_{n_theta-1}, n_phi per circle in
+  increasing phi;
+- the north rim on theta_0 = theta_min, then the south rim on
+  theta_{n_theta} = pi - theta_min, n_phi faces each in increasing phi.
+
 The cell-face incidence is stored unpadded as S = 4 n_phi n_theta + 2 n_phi
 flat slots, one per (cell, face) pair: the band cells' slots come first, four
 per cell in the fixed order [W, E, N, S], then the north and the south cap,
@@ -53,63 +65,32 @@ LATITUDE = "latitude"
 CAP_RIM = "cap-rim"
 
 
-@dataclass(frozen=True)
-class Face:
-    """One mesh face with quadrature and a canonical unit normal."""
-
-    id: int
-    kind: str                   # meridian | latitude | cap-rim
-    measure: float              # arc length |e|
-    left: int                   # cell on the side the canonical normal points away from
-    right: int                  # cell the canonical normal points into
-    q_phi: np.ndarray           # (3,) quadrature node longitudes
-    q_theta: np.ndarray         # (3,) quadrature node colatitudes
-    q_w: np.ndarray             # (3,) weights, summing to |e|
-    n_phi: np.ndarray           # (3,) canonical normal phi-component (contravariant)
-    n_theta: np.ndarray         # (3,) canonical normal theta-component
-
-
-@dataclass(frozen=True)
-class Cell:
-    """One mesh cell; ``faces`` lists (face_id, sign) with sign +1 when the
-    canonical face normal is outward for this cell."""
-
-    id: int
-    area: float
-    centroid: tuple
-    faces: tuple                # ((face_id, sign), ...) in the cell's fixed order
-    is_pole_cap: bool = False
-    perimeter: float = 0.0      # p_K = sum of |e| over boundary faces
-
-
 @dataclass
 class SphereMesh:
-    """Mesh container with both object views and packed arrays for the solver.
+    """The mesh as packed arrays, in the face, cell and slot order of the
+    module docstring.
 
-    Per-slot arrays have one entry per (cell, face) pair, in the slot order of
-    the module docstring."""
+    Per-slot arrays have one entry per (cell, face) pair."""
 
     n_phi: int
     n_theta: int
     theta_min: float
-    cells: list
-    faces: list
     h: float                    # largest cell diameter: max(2 theta_min, h_band)
     h_band: float               # largest band-cell diameter (corner distances)
     # packed face arrays (F faces, 3 quadrature nodes each)
-    face_left: np.ndarray
-    face_right: np.ndarray
-    face_measure: np.ndarray
-    face_q_phi: np.ndarray
-    face_q_theta: np.ndarray
-    face_q_w: np.ndarray
-    face_n_phi: np.ndarray
-    face_n_theta: np.ndarray
-    face_kind: list
+    face_left: np.ndarray       # (F,) cell the canonical normal points away from
+    face_right: np.ndarray      # (F,) cell the canonical normal points into
+    face_measure: np.ndarray    # (F,) arc length |e|
+    face_q_phi: np.ndarray      # (F, 3) quadrature node longitudes
+    face_q_theta: np.ndarray    # (F, 3) quadrature node colatitudes
+    face_q_w: np.ndarray        # (F, 3) weights, summing to |e|
+    face_n_phi: np.ndarray      # (F, 3) canonical normal phi-component (contravariant)
+    face_n_theta: np.ndarray    # (F, 3) canonical normal theta-component
+    face_kind: np.ndarray       # (F,) meridian | latitude | cap-rim
     # packed cell arrays (N cells)
     cell_area: np.ndarray
-    cell_perimeter: np.ndarray
-    cell_centroid: np.ndarray   # (N, 2)
+    cell_perimeter: np.ndarray  # p_K = sum of |e| over the cell's faces
+    cell_centroid: np.ndarray   # (N, 2) (phi, theta); the caps sit at their pole
     cell_is_cap: np.ndarray
     # packed slot arrays (S slots, each cell's slots contiguous)
     cell_faces: np.ndarray      # (S,) face id of each slot
@@ -119,11 +100,11 @@ class SphereMesh:
 
     @property
     def n_cells(self) -> int:
-        return len(self.cells)
+        return len(self.cell_area)
 
     @property
     def n_faces(self) -> int:
-        return len(self.faces)
+        return len(self.face_measure)
 
     def cell_sum(self, slot_values: np.ndarray) -> np.ndarray:
         """Per-cell sums of per-slot values, each taken over the cell's slots
@@ -153,87 +134,43 @@ def build_latlon(n_phi: int, n_theta: int, theta_min: float) -> SphereMesh:
     phis = np.arange(n_phi + 1) * dphi
 
     n_band = n_phi * n_theta
-    cap_north = n_band
-    cap_south = n_band + 1
+    n_circle = (n_theta + 1) * n_phi           # latitude and rim faces
+    band = np.arange(n_band).reshape(n_theta, n_phi)    # band cell (i, j)
+    theta_mid = 0.5 * (thetas[:-1] + thetas[1:])
+    # sin and cos once per circle theta_k (the faces on a circle and the cells
+    # of a row are congruent), by the scalar math functions, which numpy's
+    # vectorized ones may differ from in the last bit
+    sin_k = np.array([math.sin(th) for th in thetas])
+    cos_k = np.array([math.cos(th) for th in thetas])
+    circle_measure = dphi * sin_k
 
-    def band_id(i, j):
-        return j * n_phi + (i % n_phi)
+    # meridian faces at phi_{i+1}, between (i, j) and (i+1, j); canonical normal +phi
+    mer_q_theta = np.repeat(theta_mid[:, None] + 0.5 * dtheta * _GL_NODES, n_phi, axis=0)
+    mer_q_phi = np.repeat(np.tile(phis[1:] % (2 * math.pi), n_theta)[:, None], 3, axis=1)
 
-    faces = []
-    # cell -> ordered faces, as {cell: {"W":..,"E":..,"N":..,"S":..}} or rim list for caps
-    band_faces = [dict() for _ in range(n_band)]
-    cap_faces = {cap_north: [], cap_south: []}
+    # faces on the circle theta_k between phi_i and phi_{i+1}, between the
+    # cells north and south of the circle; canonical normal +theta (southward).
+    # Circles in face-id order: theta_1 .. theta_{n_theta-1}, then the rims.
+    order = np.r_[1:n_theta, 0, n_theta]
+    beside = np.vstack([np.full(n_phi, n_band), band, np.full(n_phi, n_band + 1)])
+    circle_face = np.empty((n_theta + 1, n_phi), dtype=int)
+    circle_face[order] = n_band + np.arange(n_circle).reshape(-1, n_phi)
+    cir_q_phi = 0.5 * (phis[:-1] + phis[1:])[:, None] + 0.5 * dphi * _GL_NODES
+    cir_q_w = (0.5 * dphi * sin_k[order])[:, None] * _GL_WEIGHTS
 
-    def add_face(kind, measure, left, right, q_phi, q_theta, q_w, n_phi_c, n_theta_c):
-        f = Face(id=len(faces), kind=kind, measure=measure, left=left, right=right,
-                 q_phi=np.asarray(q_phi, float), q_theta=np.asarray(q_theta, float),
-                 q_w=np.asarray(q_w, float), n_phi=np.asarray(n_phi_c, float),
-                 n_theta=np.asarray(n_theta_c, float))
-        faces.append(f)
-        return f
-
-    # meridian faces: at phi_{i+1}, between (i, j) and (i+1, j); canonical normal +phi
-    for j in range(n_theta):
-        th_nodes = 0.5 * (thetas[j] + thetas[j + 1]) + 0.5 * dtheta * _GL_NODES
-        q_w = 0.5 * dtheta * _GL_WEIGHTS
-        for i in range(n_phi):
-            phi_e = phis[i + 1]
-            f = add_face(MERIDIAN, dtheta, band_id(i, j), band_id(i + 1, j),
-                         np.full(3, phi_e % (2 * math.pi)), th_nodes, q_w,
-                         1.0 / np.sin(th_nodes), np.zeros(3))
-            band_faces[band_id(i, j)]["E"] = (f.id, +1)
-            band_faces[band_id(i + 1, j)]["W"] = (f.id, -1)
-
-    # latitude faces: at theta_j (1 <= j <= n_theta-1), between rows j-1 and j;
-    # canonical normal +theta (southward)
-    for j in range(1, n_theta):
-        th = thetas[j]
-        st = math.sin(th)
-        for i in range(n_phi):
-            ph_nodes = 0.5 * (phis[i] + phis[i + 1]) + 0.5 * dphi * _GL_NODES
-            q_w = 0.5 * dphi * st * _GL_WEIGHTS
-            f = add_face(LATITUDE, dphi * st, band_id(i, j - 1), band_id(i, j),
-                         ph_nodes, np.full(3, th), q_w, np.zeros(3), np.ones(3))
-            band_faces[band_id(i, j - 1)]["S"] = (f.id, +1)
-            band_faces[band_id(i, j)]["N"] = (f.id, -1)
-
-    # cap rim faces at theta_min and pi - theta_min; canonical normal +theta
-    for i in range(n_phi):
-        ph_nodes = 0.5 * (phis[i] + phis[i + 1]) + 0.5 * dphi * _GL_NODES
-        st = math.sin(theta_min)
-        q_w = 0.5 * dphi * st * _GL_WEIGHTS
-        f = add_face(CAP_RIM, dphi * st, cap_north, band_id(i, 0),
-                     ph_nodes, np.full(3, theta_min), q_w, np.zeros(3), np.ones(3))
-        cap_faces[cap_north].append((f.id, +1))
-        band_faces[band_id(i, 0)]["N"] = (f.id, -1)
-    for i in range(n_phi):
-        ph_nodes = 0.5 * (phis[i] + phis[i + 1]) + 0.5 * dphi * _GL_NODES
-        th = math.pi - theta_min
-        st = math.sin(th)
-        q_w = 0.5 * dphi * st * _GL_WEIGHTS
-        f = add_face(CAP_RIM, dphi * st, band_id(i, n_theta - 1), cap_south,
-                     ph_nodes, np.full(3, th), q_w, np.zeros(3), np.ones(3))
-        band_faces[band_id(i, n_theta - 1)]["S"] = (f.id, +1)
-        cap_faces[cap_south].append((f.id, -1))
-
-    # cells
-    cells = []
-    for j in range(n_theta):
-        area = dphi * (math.cos(thetas[j]) - math.cos(thetas[j + 1]))
-        for i in range(n_phi):
-            fd = band_faces[band_id(i, j)]
-            ordered = tuple(fd[key] for key in ("W", "E", "N", "S"))
-            perim = math.fsum(faces[fid].measure for fid, _ in ordered)
-            cells.append(Cell(
-                id=band_id(i, j), area=area,
-                centroid=(phis[i] + 0.5 * dphi, 0.5 * (thetas[j] + thetas[j + 1])),
-                faces=ordered, perimeter=perim))
+    # cells: perimeters by math.fsum over the faces, once per row and cap
+    band_perimeter = [math.fsum((dtheta, dtheta, circle_measure[j], circle_measure[j + 1]))
+                      for j in range(n_theta)]
+    cap_perimeter = [math.fsum([circle_measure[0]] * n_phi),
+                     math.fsum([circle_measure[-1]] * n_phi)]
     cap_area = 2.0 * math.pi * (1.0 - math.cos(theta_min))
-    for cap_id, centroid_theta in ((cap_north, 0.0), (cap_south, math.pi)):
-        ordered = tuple(cap_faces[cap_id])
-        perim = math.fsum(faces[fid].measure for fid, _ in ordered)
-        cells.append(Cell(id=cap_id, area=cap_area, centroid=(0.0, centroid_theta),
-                          faces=ordered, is_pole_cap=True, perimeter=perim))
+    centroid = np.stack([np.tile(phis[:-1] + 0.5 * dphi, n_theta),
+                         np.repeat(theta_mid, n_phi)], axis=1)
+
+    # slots: [W, E, N, S] per band cell, then the north and the south rim
+    band_slots = np.stack([np.roll(band, 1, axis=1), band,
+                           circle_face[:-1], circle_face[1:]], axis=-1)
+    degree = np.r_[np.full(n_band, 4), n_phi, n_phi]
 
     # mesh size h: the largest intrinsic cell diameter (module docstring)
     lo, hi = thetas[:-1], thetas[1:]
@@ -241,50 +178,51 @@ def build_latlon(n_phi: int, n_theta: int, theta_min: float) -> SphereMesh:
                            _arc(hi, hi, dphi), _arc(lo, hi, 0.0)]))
     h = max(2.0 * theta_min, h_band)
 
-    # packed slot arrays, cells in id order
-    slots = [pair for c in cells for pair in c.faces]
-    degree = np.array([len(c.faces) for c in cells])
-
-    mesh = SphereMesh(
-        n_phi=n_phi, n_theta=n_theta, theta_min=theta_min,
-        cells=cells, faces=faces, h=h, h_band=h_band,
-        face_left=np.array([f.left for f in faces], dtype=int),
-        face_right=np.array([f.right for f in faces], dtype=int),
-        face_measure=np.array([f.measure for f in faces]),
-        face_q_phi=np.array([f.q_phi for f in faces]),
-        face_q_theta=np.array([f.q_theta for f in faces]),
-        face_q_w=np.array([f.q_w for f in faces]),
-        face_n_phi=np.array([f.n_phi for f in faces]),
-        face_n_theta=np.array([f.n_theta for f in faces]),
-        face_kind=[f.kind for f in faces],
-        cell_area=np.array([c.area for c in cells]),
-        cell_perimeter=np.array([c.perimeter for c in cells]),
-        cell_centroid=np.array([c.centroid for c in cells]),
-        cell_is_cap=np.array([c.is_pole_cap for c in cells]),
-        cell_faces=np.array([fid for fid, _ in slots], dtype=int),
-        cell_signs=np.array([sign for _, sign in slots], dtype=float),
-        slot_cell=np.repeat(np.arange(len(cells)), degree),
+    return SphereMesh(
+        n_phi=n_phi, n_theta=n_theta, theta_min=theta_min, h=h, h_band=h_band,
+        face_left=np.concatenate([band.ravel(), beside[:-1][order].ravel()]),
+        face_right=np.concatenate([np.roll(band, -1, axis=1).ravel(),
+                                   beside[1:][order].ravel()]),
+        face_measure=np.concatenate([np.full(n_band, dtheta),
+                                     np.repeat(circle_measure[order], n_phi)]),
+        face_q_phi=np.concatenate([mer_q_phi, np.tile(cir_q_phi, (n_theta + 1, 1))]),
+        face_q_theta=np.concatenate([mer_q_theta,
+                                     np.repeat(thetas[order], n_phi * 3).reshape(-1, 3)]),
+        face_q_w=np.concatenate([np.tile(0.5 * dtheta * _GL_WEIGHTS, (n_band, 1)),
+                                 np.repeat(cir_q_w, n_phi, axis=0)]),
+        face_n_phi=np.concatenate([1.0 / np.sin(mer_q_theta), np.zeros((n_circle, 3))]),
+        face_n_theta=np.concatenate([np.zeros((n_band, 3)), np.ones((n_circle, 3))]),
+        face_kind=np.repeat([MERIDIAN, LATITUDE, CAP_RIM],
+                            [n_band, n_band - n_phi, 2 * n_phi]),
+        cell_area=np.r_[np.repeat(dphi * (cos_k[:-1] - cos_k[1:]), n_phi),
+                        cap_area, cap_area],
+        cell_perimeter=np.r_[np.repeat(band_perimeter, n_phi), cap_perimeter],
+        cell_centroid=np.vstack([centroid, [(0.0, 0.0), (0.0, math.pi)]]),
+        cell_is_cap=np.arange(n_band + 2) >= n_band,
+        cell_faces=np.concatenate([band_slots.ravel(), circle_face[0], circle_face[-1]]),
+        cell_signs=np.r_[np.tile([-1.0, 1.0, -1.0, 1.0], n_band),
+                         np.ones(n_phi), -np.ones(n_phi)],
+        slot_cell=np.repeat(np.arange(n_band + 2), degree),
         slot_start=np.cumsum(degree) - degree,
     )
-    return mesh
 
 
 def face_average_normal_flux(mesh: SphereMesh, face_id: int, side_cell: int,
                              flux, u: float) -> float:
     """(1/|e|) integral of g(f(u, x), n_{e,K}(x)) over the face, seen from
     ``side_cell`` (the normal points out of that cell)."""
-    f = mesh.faces[face_id]
-    if side_cell == f.left:
+    if side_cell == mesh.face_left[face_id]:
         sign = 1.0
-    elif side_cell == f.right:
+    elif side_cell == mesh.face_right[face_id]:
         sign = -1.0
     else:
         raise ConfigError(f"cell {side_cell} is not adjacent to face {face_id}")
-    comp = np.asarray(flux.f(u, f.q_phi, f.q_theta), dtype=float)
-    st = np.sin(f.q_theta)
+    q_theta = mesh.face_q_theta[face_id]
+    comp = np.asarray(flux.f(u, mesh.face_q_phi[face_id], q_theta), dtype=float)
+    st = np.sin(q_theta)
     # g(f, n) with metric diag(sin^2 theta, 1) and contravariant normal components
-    integrand = st * st * comp[0] * f.n_phi + comp[1] * f.n_theta
-    return float(sign * np.dot(f.q_w, integrand) / f.measure)
+    integrand = st * st * comp[0] * mesh.face_n_phi[face_id] + comp[1] * mesh.face_n_theta[face_id]
+    return float(sign * np.dot(mesh.face_q_w[face_id], integrand) / mesh.face_measure[face_id])
 
 
 @dataclass(frozen=True)
@@ -354,34 +292,16 @@ def cell_averages(mesh: SphereMesh, func: Callable) -> np.ndarray:
 # export
 # ---------------------------------------------------------------------------
 
-def _cell_polygon(mesh: SphereMesh, cell: Cell):
+def _cell_polygon(mesh: SphereMesh, cell: int):
     """Corner points (phi, theta) of a cell's polygon, counter-clockwise."""
     dphi = 2.0 * math.pi / mesh.n_phi
     dtheta = (math.pi - 2.0 * mesh.theta_min) / mesh.n_theta
-    if cell.is_pole_cap:
-        north = cell.centroid[1] < math.pi / 2
-        th = mesh.theta_min if north else math.pi - mesh.theta_min
+    p0, t0 = mesh.cell_centroid[cell]
+    if mesh.cell_is_cap[cell]:
+        th = mesh.theta_min if t0 < math.pi / 2 else math.pi - mesh.theta_min
         return [(i * dphi, th) for i in range(mesh.n_phi)]
-    p0, t0 = cell.centroid
     return [(p0 - 0.5 * dphi, t0 - 0.5 * dtheta), (p0 + 0.5 * dphi, t0 - 0.5 * dtheta),
             (p0 + 0.5 * dphi, t0 + 0.5 * dtheta), (p0 - 0.5 * dphi, t0 + 0.5 * dtheta)]
-
-
-def export_cells_csv(mesh: SphereMesh, path: str) -> None:
-    """CSV with one row per cell: id, centroid, area."""
-    with open(path, "w") as fh:
-        fh.write("id,centroid_phi,centroid_theta,area,is_pole_cap\n")
-        for c in mesh.cells:
-            fh.write(f"{c.id},{c.centroid[0]:.17g},{c.centroid[1]:.17g},"
-                     f"{c.area:.17g},{int(c.is_pole_cap)}\n")
-
-
-def export_faces_csv(mesh: SphereMesh, path: str) -> None:
-    """CSV with one row per face: id, kind, measure."""
-    with open(path, "w") as fh:
-        fh.write("id,kind,measure,left,right\n")
-        for f in mesh.faces:
-            fh.write(f"{f.id},{f.kind},{f.measure:.17g},{f.left},{f.right}\n")
 
 
 def export_vtk(mesh: SphereMesh, path: str, fields: Optional[dict] = None) -> None:
@@ -389,7 +309,7 @@ def export_vtk(mesh: SphereMesh, path: str, fields: Optional[dict] = None) -> No
     fields = fields or {}
     points = []
     polys = []
-    for c in mesh.cells:
+    for c in range(mesh.n_cells):
         corners = _cell_polygon(mesh, c)
         idx = []
         for (ph, th) in corners:

@@ -123,10 +123,9 @@ def test_2_scheme_axioms(report_line):
             assert np.array_equal(nf.values(states, states), nf.table.s(states))
         # conservation: sided values negate exactly
         for fid in rng.choice(mesh.n_faces, 50, replace=False):
-            face = mesh.faces[fid]
             u, v = rng.uniform(-1.2, 1.2, 2)
-            lhs = numerical_flux(nf, fid, face.left, u, v)
-            rhs = numerical_flux(nf, fid, face.right, v, u)
+            lhs = numerical_flux(nf, fid, mesh.face_left[fid], u, v)
+            rhs = numerical_flux(nf, fid, mesh.face_right[fid], v, u)
             assert abs(lhs + rhs) <= 1e-12
         # monotonicity on a 50x50 state grid over 100 random faces
         worst = nf.validate_monotonicity(n_states=50, max_faces=100, rng=rng)

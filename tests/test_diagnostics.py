@@ -47,26 +47,27 @@ def _setup(kind=GODUNOV, n_phi=8, n_theta=4):
 
 def test_tv_weights_dphi_closed_form(small_mesh):
     weights = tv_face_weights(small_mesh, _dphi())
-    for f in small_mesh.faces:
-        if f.kind == MERIDIAN:
+    for f, kind in enumerate(small_mesh.face_kind):
+        if kind == MERIDIAN:
             # int_e sin(theta) dtheta over the face's band
-            assert weights[f.id] > 0.0
-        elif f.kind == LATITUDE:
-            assert abs(weights[f.id]) <= 1e-14
+            assert weights[f] > 0.0
+        elif kind == LATITUDE:
+            assert abs(weights[f]) <= 1e-14
 
 
 def test_tv_single_jump(small_mesh):
-    meridian = [f for f in small_mesh.faces if f.kind == MERIDIAN][0]
+    meridian = np.flatnonzero(small_mesh.face_kind == MERIDIAN)[0]
+    raised = small_mesh.face_left[meridian]
     u = np.zeros(small_mesh.n_cells)
-    u[meridian.left] = 1.0
+    u[raised] = 1.0
     from spherefv import SolverState
     state = SolverState(mesh=small_mesh, u=u)
     weights = tv_face_weights(small_mesh, _dphi())
     tv = discrete_tv_x(state, _dphi(), weights)
     # the raised cell touches its two meridian faces plus latitude faces
     # (zero weight), so TV = sum of the two meridian face weights
-    fids = [fid for fid, _ in small_mesh.cells[meridian.left].faces
-            if small_mesh.faces[fid].kind == MERIDIAN]
+    fids = [fid for fid in small_mesh.cell_faces[small_mesh.slot_cell == raised]
+            if small_mesh.face_kind[fid] == MERIDIAN]
     assert tv == pytest.approx(sum(weights[f] for f in fids), rel=1e-12)
 
 

@@ -54,10 +54,9 @@ def test_conservation_between_sides(kind):
     mesh, flux, nf, _ = _setup(kind)
     rng = np.random.default_rng(42)
     for fid in rng.choice(mesh.n_faces, 20, replace=False):
-        face = mesh.faces[fid]
         u, v = rng.uniform(-1.2, 1.2, 2)
-        left = numerical_flux(nf, fid, face.left, u, v)
-        right = numerical_flux(nf, fid, face.right, v, u)
+        left = numerical_flux(nf, fid, mesh.face_left[fid], u, v)
+        right = numerical_flux(nf, fid, mesh.face_right[fid], v, u)
         assert left == -right
 
 

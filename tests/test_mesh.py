@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -16,15 +17,15 @@ from spherefv.mesh import CAP_RIM, LATITUDE, MERIDIAN, export_vtk
 
 def test_band_cell_area_closed_form():
     mesh = build_latlon(4, 2, math.pi / 4)
-    band = [c for c in mesh.cells if not c.is_pole_cap]
+    band = mesh.cell_area[~mesh.cell_is_cap]
     expected = (math.pi / 2) * (math.cos(math.pi / 4) - math.cos(math.pi / 2))
-    areas = sorted(c.area for c in band)
+    areas = sorted(band)
     assert areas[0] == pytest.approx(expected, rel=1e-14)
-    caps = [c for c in mesh.cells if c.is_pole_cap]
+    caps = mesh.cell_area[mesh.cell_is_cap]
     assert len(caps) == 2
-    for c in caps:
-        assert c.area == pytest.approx(2 * math.pi * (1 - math.cos(math.pi / 4)),
-                                       rel=1e-14)
+    for area in caps:
+        assert area == pytest.approx(2 * math.pi * (1 - math.cos(math.pi / 4)),
+                                     rel=1e-14)
 
 
 def test_total_area_is_sphere_area():
@@ -35,25 +36,27 @@ def test_total_area_is_sphere_area():
 
 def test_latitude_face_measure():
     mesh = build_latlon(4, 2, math.pi / 4)
-    equator = [f for f in mesh.faces
-               if f.kind == LATITUDE and abs(f.q_theta[0] - math.pi / 2) < 1e-12]
-    assert equator and all(f.measure == pytest.approx(math.pi / 2, rel=1e-14)
+    equator = [f for f in range(mesh.n_faces) if mesh.face_kind[f] == LATITUDE
+               and abs(mesh.face_q_theta[f, 0] - math.pi / 2) < 1e-12]
+    assert equator and all(mesh.face_measure[f] == pytest.approx(math.pi / 2, rel=1e-14)
                            for f in equator)
 
 
 def test_quadrature_weights_and_unit_normals(small_mesh):
-    for f in small_mesh.faces:
-        assert abs(f.q_w.sum() - f.measure) <= 1e-12 * (1.0 + f.measure)
+    m = small_mesh
+    for f in range(m.n_faces):
+        assert abs(m.face_q_w[f].sum() - m.face_measure[f]) <= 1e-12 * (1.0 + m.face_measure[f])
         # |n|_g^2 = sin^2(theta) (n^phi)^2 + (n^theta)^2
-        norm2 = (np.sin(f.q_theta) ** 2 * f.n_phi ** 2 + f.n_theta ** 2)
+        norm2 = (np.sin(m.face_q_theta[f]) ** 2 * m.face_n_phi[f] ** 2
+                 + m.face_n_theta[f] ** 2)
         assert np.abs(norm2 - 1.0).max() <= 1e-12
 
 
 def test_face_pairing_and_orientation(small_mesh):
     side_sign = {}
-    for cell in small_mesh.cells:
-        for fid, sign in cell.faces:
-            side_sign.setdefault(fid, []).append((cell.id, sign))
+    for cell, fid, sign in zip(small_mesh.slot_cell, small_mesh.cell_faces,
+                               small_mesh.cell_signs):
+        side_sign.setdefault(fid, []).append((cell, sign))
     flux = make_flux("solid_rotation")
     for fid, sides in side_sign.items():
         assert len(sides) == 2
@@ -79,20 +82,22 @@ def test_face_average_examples(small_mesh):
     flux = make_flux("solid_rotation")
     zero = make_flux("solid_rotation", {"omega": 0.0})
     u = 0.9
-    meridian = [f for f in small_mesh.faces if f.kind == MERIDIAN][0]
-    tlo, thi = meridian.q_theta.min(), meridian.q_theta.max()
+    meridian = np.flatnonzero(small_mesh.face_kind == MERIDIAN)[0]
+    q_theta = small_mesh.face_q_theta[meridian]
+    tlo, thi = q_theta.min(), q_theta.max()
     # GL nodes span the interior; recover the band edges from the 3-node rule
     theta_mid = 0.5 * (tlo + thi)
     half = (thi - tlo) / math.sqrt(0.6)
     t0, t1 = theta_mid - half / 2, theta_mid + half / 2
     expected = u * (math.cos(t0) - math.cos(t1)) / (t1 - t0)
-    val = face_average_normal_flux(small_mesh, meridian.id, meridian.left, flux, u)
+    left = small_mesh.face_left
+    val = face_average_normal_flux(small_mesh, meridian, left[meridian], flux, u)
     assert val == pytest.approx(expected, abs=1e-7)
 
-    latitude = [f for f in small_mesh.faces if f.kind == LATITUDE][0]
-    assert face_average_normal_flux(small_mesh, latitude.id, latitude.left,
+    latitude = np.flatnonzero(small_mesh.face_kind == LATITUDE)[0]
+    assert face_average_normal_flux(small_mesh, latitude, left[latitude],
                                     flux, u) == 0.0
-    assert face_average_normal_flux(small_mesh, meridian.id, meridian.left,
+    assert face_average_normal_flux(small_mesh, meridian, left[meridian],
                                     zero, u) == 0.0
 
 
@@ -110,22 +115,27 @@ def _great_circle(p1, t1, p2, t2):
     return math.acos(min(1.0, max(-1.0, c)))
 
 
+def _faces_of_cells(mesh):
+    """Each cell's face ids, in its slot order."""
+    return np.split(mesh.cell_faces, mesh.slot_start[1:])
+
+
 def _sampled_diameter(mesh):
     """Reference mesh size: largest distance between 8 samples per face edge."""
     dphi = 2.0 * math.pi / mesh.n_phi
     dtheta = (math.pi - 2.0 * mesh.theta_min) / mesh.n_theta
     h = 0.0
-    for cell in mesh.cells:
+    for fids in _faces_of_cells(mesh):
         pts = []
-        for fid, _sign in cell.faces:
-            f = mesh.faces[fid]
+        for fid in fids:
+            q_phi, q_theta = mesh.face_q_phi[fid], mesh.face_q_theta[fid]
             s = np.linspace(0.0, 1.0, 8)
-            if f.kind == MERIDIAN:
-                ph = np.full_like(s, f.q_phi[0])
-                th = f.q_theta[1] - 0.5 * dtheta + s * dtheta
+            if mesh.face_kind[fid] == MERIDIAN:
+                ph = np.full_like(s, q_phi[0])
+                th = q_theta[1] - 0.5 * dtheta + s * dtheta
             else:
-                th = np.full_like(s, f.q_theta[0])
-                ph = f.q_phi[1] - 0.5 * dphi + s * dphi
+                th = np.full_like(s, q_theta[0])
+                ph = q_phi[1] - 0.5 * dphi + s * dphi
             pts.extend(zip(ph, th))
         diam = 0.0
         for a in range(len(pts)):
@@ -170,16 +180,15 @@ def test_cell_averages_examples(small_mesh):
     assert np.abs(const - 3.25).max() <= 1e-12
 
     avg = cell_averages(small_mesh, lambda phi, theta: np.cos(theta))
-    for cell in small_mesh.cells:
-        if cell.is_pole_cap:
+    for cell, fids in enumerate(_faces_of_cells(small_mesh)):
+        if small_mesh.cell_is_cap[cell]:
             continue
-        fids = [fid for fid, _ in cell.faces]
         # latitude-face quadrature nodes sit exactly on the band edges
-        thetas = np.concatenate([small_mesh.faces[fid].q_theta for fid in fids])
+        thetas = small_mesh.face_q_theta[fids].ravel()
         t0, t1 = thetas.min(), thetas.max()
         dphi = 2 * math.pi / small_mesh.n_phi
-        exact = ((math.cos(t0) ** 2 - math.cos(t1) ** 2) / 2) * dphi / cell.area
-        assert avg[cell.id] == pytest.approx(exact, abs=1e-5)
+        exact = ((math.cos(t0) ** 2 - math.cos(t1) ** 2) / 2) * dphi / small_mesh.cell_area[cell]
+        assert avg[cell] == pytest.approx(exact, abs=1e-5)
 
     odd = cell_averages(small_mesh, lambda phi, theta: np.sin(phi))
     assert abs(float(odd @ small_mesh.cell_area)) <= 1e-12
@@ -192,16 +201,17 @@ def _cell_averages_per_cell(mesh, func):
     dphi = 2.0 * math.pi / mesh.n_phi
     dtheta = (math.pi - 2.0 * mesh.theta_min) / mesh.n_theta
     out = np.empty(mesh.n_cells)
-    for c in mesh.cells:
-        if c.is_pole_cap:
-            th_lo, th_hi = ((0.0, mesh.theta_min) if c.centroid[1] < math.pi / 2
+    for c in range(mesh.n_cells):
+        centroid = mesh.cell_centroid[c]
+        if mesh.cell_is_cap[c]:
+            th_lo, th_hi = ((0.0, mesh.theta_min) if centroid[1] < math.pi / 2
                             else (math.pi - mesh.theta_min, math.pi))
             ph_lo, ph_hi = 0.0, 2.0 * math.pi
         else:
-            ph_lo = c.centroid[0] - 0.5 * dphi
-            ph_hi = c.centroid[0] + 0.5 * dphi
-            th_lo = c.centroid[1] - 0.5 * dtheta
-            th_hi = c.centroid[1] + 0.5 * dtheta
+            ph_lo = centroid[0] - 0.5 * dphi
+            ph_hi = centroid[0] + 0.5 * dphi
+            th_lo = centroid[1] - 0.5 * dtheta
+            th_hi = centroid[1] + 0.5 * dtheta
         ph = 0.5 * (ph_lo + ph_hi) + 0.5 * (ph_hi - ph_lo) * gl_nodes
         th = 0.5 * (th_lo + th_hi) + 0.5 * (th_hi - th_lo) * gl_nodes
         wp = 0.5 * (ph_hi - ph_lo) * gl_weights
@@ -209,7 +219,7 @@ def _cell_averages_per_cell(mesh, func):
         P, T = np.meshgrid(ph, th, indexing="ij")
         W = np.outer(wp, wt) * np.sin(T)
         vals = np.asarray(func(P, T), dtype=float)
-        out[c.id] = float(np.sum(W * vals) / np.sum(W))
+        out[c] = float(np.sum(W * vals) / np.sum(W))
     return out
 
 
@@ -239,10 +249,46 @@ def test_cell_averages_calls_func_once(small_mesh):
 
 
 def test_rim_faces_and_kinds(small_mesh):
-    kinds = {f.kind for f in small_mesh.faces}
+    kinds = set(small_mesh.face_kind)
     assert kinds == {MERIDIAN, LATITUDE, CAP_RIM}
-    rims = [f for f in small_mesh.faces if f.kind == CAP_RIM]
+    rims = np.flatnonzero(small_mesh.face_kind == CAP_RIM)
     assert len(rims) == 2 * small_mesh.n_phi
+
+
+@pytest.mark.parametrize("n_phi,n_theta", [(3, 2), (3, 4), (8, 4), (47, 24)])
+def test_slot_geometry(n_phi, n_theta):
+    """Each slot's face lies on the named side of its cell, read from the
+    quadrature nodes and centroids alone."""
+    theta_min = 0.3
+    mesh = build_latlon(n_phi, n_theta, theta_min)
+    dphi = 2.0 * math.pi / n_phi
+    dtheta = (math.pi - 2.0 * theta_min) / n_theta
+    n_band = n_phi * n_theta
+    tol = 1e-12
+
+    def same_angle(a, b):
+        return np.abs((a - b + math.pi) % (2.0 * math.pi) - math.pi) <= tol
+
+    for cell, fids in enumerate(_faces_of_cells(mesh)):
+        q_phi, q_theta = mesh.face_q_phi[fids], mesh.face_q_theta[fids]
+        ph_c, th_c = mesh.cell_centroid[cell]
+        if mesh.cell_is_cap[cell]:
+            rim = theta_min if th_c < math.pi / 2 else math.pi - theta_min
+            assert len(fids) == n_phi
+            assert np.all(q_theta == rim)
+            assert np.all(np.diff(q_phi[:, 1]) > 0.0)
+            continue
+        assert len(fids) == 4
+        west, east, north, south = range(4)
+        assert np.all(same_angle(q_phi[west], ph_c - 0.5 * dphi))
+        assert np.all(same_angle(q_phi[east], ph_c + 0.5 * dphi))
+        assert np.all(np.abs(q_theta[[west, east]] - th_c) < 0.5 * dtheta)
+        assert np.all(np.abs(q_theta[north] - (th_c - 0.5 * dtheta)) <= tol)
+        assert np.all(np.abs(q_theta[south] - (th_c + 0.5 * dtheta)) <= tol)
+        assert np.all(np.abs(q_phi[[north, south]] - ph_c) < 0.5 * dphi)
+
+    runs = [(kind, len(list(group))) for kind, group in itertools.groupby(mesh.face_kind)]
+    assert runs == [(MERIDIAN, n_band), (LATITUDE, n_band - n_phi), (CAP_RIM, 2 * n_phi)]
 
 
 def test_vtk_export(tmp_path, small_mesh):
