@@ -40,7 +40,7 @@ from .flux import (
     from_potential,
     kruzkov_pair,
     make_flux,
-    square_entropy,
+    separable,
     tvd_compatibility,
 )
 from .mesh import (

@@ -1,9 +1,10 @@
 """Flux fields f(u, x) on the sphere.
 
-Provides construction from scalar potentials (automatically divergence-free),
-the cross-product representation f = n x Phi, entropy pairs (smooth and
-Kruzkov), divergence residuals, and the compatibility checks that decide
-whether total variation along a vector field X is non-increasing.
+Provides separable fluxes f(u, x) = g(u) X(x), construction from scalar
+potentials (automatically divergence-free), the cross-product representation
+f = n x Phi, entropy pairs (smooth and Kruzkov), divergence residuals, and the
+compatibility checks that decide whether total variation along a vector field
+X is non-increasing.
 
 All flux callables are numpy-vectorized: ``f(u, phi, theta)`` accepts scalars
 or broadcastable arrays and returns an array of shape ``(2,) + broadcast``
@@ -13,7 +14,7 @@ holding the intrinsic components (f^phi, f^theta).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -43,7 +44,10 @@ class FluxField:
     ``f`` and ``f_u`` take ``(u, phi, theta)`` with numpy broadcasting and
     return shape ``(2,) + broadcast``.  ``lipschitz_bound`` bounds |f_u|_g over
     the reference state box; ``potential`` holds the scalar a(u, n) when the
-    flux was built from one.
+    flux was built from one.  A separable flux f(u, x) = g(u) X(x) (see
+    :func:`separable`) also carries ``g``, its derivative ``g_u`` (both
+    elementwise in u) and the field ``X(phi, theta)`` of shape
+    ``(2,) + broadcast``.
     """
 
     name: str
@@ -51,26 +55,9 @@ class FluxField:
     f_u: Callable
     lipschitz_bound: float
     potential: Optional[Callable] = None
-
-    def div_f(self, u: float, phi: float, theta: float, step: float = _FD_STEP) -> float:
-        """Intrinsic divergence at frozen state u:
-        (1/sin theta)(d_phi(f^phi sin theta) + d_theta(f^theta sin theta))."""
-
-        def weighted(p, t):
-            comp = self.f(u, p, t)
-            return np.array([comp[0] * np.sin(t), comp[1] * np.sin(t)])
-
-        d_phi = (-weighted(phi + 2 * step, theta)[0] + 8 * weighted(phi + step, theta)[0]
-                 - 8 * weighted(phi - step, theta)[0] + weighted(phi - 2 * step, theta)[0]
-                 ) / (12 * step)
-        d_theta = (-weighted(phi, theta + 2 * step)[1] + 8 * weighted(phi, theta + step)[1]
-                   - 8 * weighted(phi, theta - step)[1] + weighted(phi, theta - 2 * step)[1]
-                   ) / (12 * step)
-        return float((d_phi + d_theta) / math.sin(theta))
-
-    def spatial_field(self, u: float) -> geometry.VectorField:
-        """The frozen-state vector field x -> f(u, x)."""
-        return geometry.VectorField(components=lambda y: self.f(u, y[0], y[1]))
+    g: Optional[Callable] = None
+    g_u: Optional[Callable] = None
+    X: Optional[Callable] = None
 
     def f_u_field(self, u: float) -> geometry.VectorField:
         """The frozen-state wave-speed field x -> f_u(u, x)."""
@@ -113,8 +100,30 @@ def divfree_residual(f: FluxField, u: float, sample, step: float = _FD_STEP) -> 
 
 
 # ---------------------------------------------------------------------------
-# construction from potentials / cross products
+# construction: separable fluxes, potentials, cross products
 # ---------------------------------------------------------------------------
+
+def separable(name: str, g: Callable, g_u: Callable, X: Callable,
+              lipschitz_bound: Optional[float] = None) -> FluxField:
+    """Flux f(u, x) = g(u) X(x), with f_u = g_u(u) X(x).
+
+    ``g`` and ``g_u`` act elementwise on state arrays; ``X(phi, theta)``
+    returns the intrinsic components, shape ``(2,) + broadcast``.  Without a
+    ``lipschitz_bound`` it is sampled over |u| <= 1."""
+
+    def f(u, phi, theta):
+        u, phi, theta = np.broadcast_arrays(np.asarray(u, dtype=float), phi, theta)
+        return g(u) * X(phi, theta)
+
+    def f_u(u, phi, theta):
+        u, phi, theta = np.broadcast_arrays(np.asarray(u, dtype=float), phi, theta)
+        return g_u(u) * X(phi, theta)
+
+    field = FluxField(name=name, f=f, f_u=f_u, lipschitz_bound=0.0, g=g, g_u=g_u, X=X)
+    if lipschitz_bound is None:
+        lipschitz_bound = field.lipschitz_on(-1.0, 1.0)
+    return replace(field, lipschitz_bound=lipschitz_bound)
+
 
 def _sphere_normals(phi, theta):
     """n, n_phi, n_theta as arrays of shape (3,) + broadcast(phi, theta)."""
@@ -290,12 +299,6 @@ def kruzkov_pair(f: FluxField, k: float) -> EntropyPair:
     return EntropyPair(U=U, dU=dU, F=F, kind="kruzkov", k=k)
 
 
-def square_entropy() -> tuple[Callable, Callable]:
-    """The pair (U, U') for U(u) = u^2 / 2."""
-    return (lambda u: 0.5 * np.asarray(u, dtype=float) ** 2,
-            lambda u: np.asarray(u, dtype=float))
-
-
 # ---------------------------------------------------------------------------
 # TVD compatibility
 # ---------------------------------------------------------------------------
@@ -387,15 +390,11 @@ def make_flux(name: str, params: Optional[dict] = None) -> FluxField:
         if params:
             raise ConfigError(f"unknown solid_rotation parameters: {sorted(params)}")
 
-        def f(u, phi, theta):
-            u, phi, theta = np.broadcast_arrays(np.asarray(u, dtype=float), phi, theta)
-            return np.stack([omega * u, np.zeros_like(u)])
+        def X(phi, theta):
+            return np.stack([np.full(np.shape(theta), omega), np.zeros(np.shape(theta))])
 
-        def f_u(u, phi, theta):
-            u, phi, theta = np.broadcast_arrays(np.asarray(u, dtype=float), phi, theta)
-            return np.stack([np.full_like(u, omega), np.zeros_like(u)])
-
-        return FluxField(name=name, f=f, f_u=f_u, lipschitz_bound=abs(omega))
+        return separable(name, g=lambda u: u, g_u=np.ones_like, X=X,
+                         lipschitz_bound=abs(omega))
 
     if name == "latitude_burgers":
         c_expr = str(params.pop("c_expr", "1"))
@@ -403,17 +402,11 @@ def make_flux(name: str, params: Optional[dict] = None) -> FluxField:
             raise ConfigError(f"unknown latitude_burgers parameters: {sorted(params)}")
         c = compile_expression(c_expr, ["theta"])
 
-        def f(u, phi, theta):
-            u, phi, theta = np.broadcast_arrays(np.asarray(u, dtype=float), phi, theta)
-            return np.stack([c(theta=theta) * 0.5 * u * u, np.zeros_like(u)])
+        def X(phi, theta):
+            return np.stack([np.broadcast_to(c(theta=theta), np.shape(theta)),
+                             np.zeros(np.shape(theta))])
 
-        def f_u(u, phi, theta):
-            u, phi, theta = np.broadcast_arrays(np.asarray(u, dtype=float), phi, theta)
-            return np.stack([c(theta=theta) * u, np.zeros_like(u)])
-
-        field = FluxField(name=name, f=f, f_u=f_u, lipschitz_bound=0.0)
-        return FluxField(name=name, f=f, f_u=f_u,
-                         lipschitz_bound=field.lipschitz_on(-1.0, 1.0))
+        return separable(name, g=lambda u: 0.5 * u * u, g_u=lambda u: u, X=X)
 
     if name == "potential":
         if "a" not in params:

@@ -14,6 +14,17 @@ box, which makes consistency exact and monotonicity hold to rounding:
 - Lax-Friedrichs uses a per-face dissipation ``lambda_e = 1.01 sup |s_e'|``,
   so faces the flux never crosses stay exactly inert.
 
+Separable fluxes f(u, x) = g(u) X(x) -- the registry's ``solid_rotation``
+(g = u) and ``latitude_burgers`` (g = u^2/2) -- take a fast path.  Their
+restriction is s_e(u) = g(u) c_e with c_e = (1/|e|) int_e g(X, n_e) dv_e,
+computed once per face by the same 3-node face quadrature that averages f
+on the generic path, so the two paths differ only by rounding.  Then
+s_e' = g_u c_e, the critical points are the roots of g_u (found once, shared
+by all faces), sup |s_e'| = |c_e| max |g_u|, and the entropy-flux average is
+c_e times a scalar integral of U' g_u.  No step evaluates f on the face
+nodes, and the table needs O(faces) memory.  Every other flux is averaged
+node by node, its critical points scanned per face.
+
 A face value is computed once in the canonical orientation and enters the two
 adjacent cells with opposite signs, so the conservation property is exact in
 floating point.  Per-cell face accumulation runs over the mesh's flat
@@ -57,7 +68,9 @@ class FaceFluxTable:
     """Per-face normal-flux averages s_e(u), derivatives, critical points.
 
     ``box`` is the state interval over which critical points and wave speeds
-    are tracked; it can be rebuilt (expanded) on demand.
+    are tracked; it can be rebuilt (expanded) on demand.  For a separable
+    flux ``c`` holds the per-face constants c_e of s_e = g c_e (module
+    docstring); otherwise it is None.
     """
 
     def __init__(self, mesh: SphereMesh, flux: FluxField, box, n_scan: int = 129):
@@ -72,6 +85,8 @@ class FaceFluxTable:
         self.measure = mesh.face_measure
         self._st2 = np.sin(self.q_theta) ** 2
         self.n_faces = self.measure.size
+        self.c = (None if flux.g is None
+                  else self._average(np.asarray(flux.X(self.q_phi, self.q_theta))))
         self.rebuild(box)
 
     def view(self, index) -> "FaceFluxTable":
@@ -87,6 +102,7 @@ class FaceFluxTable:
         for name in ("q_phi", "q_theta", "q_w", "n_phi", "n_theta", "measure",
                      "_st2", "crit", "crit_s", "speed", "lam"):
             setattr(v, name, getattr(self, name)[index])
+        v.c = None if self.c is None else self.c[index]
         v.n_faces = v.measure.shape[0]
         v.box = self.box
         return v
@@ -107,10 +123,13 @@ class FaceFluxTable:
         """Evaluate a flux-like callable and face-average it.
 
         ``u`` may be a scalar, shape (F,), or shape (F, Q); the result has the
-        same shape (faces first)."""
+        same shape (faces first).  For a separable flux ``func`` is the
+        scalar factor (g or g_u), scaled by c_e."""
         u = np.asarray(u, dtype=float)
         if u.ndim == 0:
             u = np.full(self.n_faces, float(u))
+        if self.c is not None:
+            return func(u) * self.c.reshape(self.c.shape + (1,) * (u.ndim - 1))
         if u.ndim == 1:
             comp = np.asarray(func(u[:, None], self.q_phi, self.q_theta))
             return self._average(comp)
@@ -120,49 +139,35 @@ class FaceFluxTable:
 
     def s(self, u):
         """Canonical face-averaged normal flux at state(s) u."""
-        return self._eval(self.flux.f, u)
+        return self._eval(self.flux.f if self.c is None else self.flux.g, u)
 
     def sp(self, u):
         """Derivative s_e'(u) (face average of g(f_u, n))."""
-        return self._eval(self.flux.f_u, u)
+        return self._eval(self.flux.f_u if self.c is None else self.flux.g_u, u)
 
     # -- state box / critical points ------------------------------------------
 
     def rebuild(self, box) -> None:
-        """(Re)compute critical points, wave speeds and lambda over ``box``."""
+        """(Re)compute critical points, wave speeds and lambda over ``box``.
+
+        Critical points are the sign changes of s' on an ``n_scan``-point
+        grid, refined by bisection.  For a separable flux they are those of
+        g_u, found once and shared by every face."""
         lo, hi = float(box[0]), float(box[1])
         if not (hi > lo):
             raise ConfigError(f"state box must be a nontrivial interval, got {box}")
         self.box = (lo, hi)
         grid = np.linspace(lo, hi, self.n_scan)
-        d = self.sp(np.broadcast_to(grid, (self.n_faces, self.n_scan)).copy())
-        self.speed = np.max(np.abs(d), axis=1)            # sup |s'| per face
+        if self.c is None:
+            d = self.sp(np.broadcast_to(grid, (self.n_faces, self.n_scan)).copy())
+            self.speed = np.max(np.abs(d), axis=1)        # sup |s'| per face
+            crit = _bisect_sign_changes(d, grid, self._col_sp)
+        else:
+            d = self.flux.g_u(grid)[None, :]
+            self.speed = np.abs(self.c) * np.max(np.abs(d))
+            roots = _bisect_sign_changes(d, grid, self.flux.g_u)
+            crit = np.repeat(roots, self.n_faces, axis=0)
         self.lam = 1.01 * self.speed                      # LF dissipation
-
-        # bracket sign changes of s' and refine by bisection
-        sign = np.signbit(d)
-        change = sign[:, 1:] != sign[:, :-1]
-        count = change.sum(axis=1)
-        max_crit = int(count.max()) if count.size else 0
-        crit = np.full((self.n_faces, max_crit), np.nan)
-        if max_crit:
-            # bracket k of a face is its k-th sign change in increasing u
-            rows, cols = np.nonzero(change)
-            rank = np.arange(rows.size) - (np.cumsum(count) - count)[rows]
-            a = np.full((self.n_faces, max_crit), lo)
-            b = np.full((self.n_faces, max_crit), lo)
-            a[rows, rank] = grid[cols]
-            b[rows, rank] = grid[cols + 1]
-            mask = np.arange(max_crit) < count[:, None]
-            fa = np.where(mask, self._col_sp(a), 0.0)
-            for _ in range(60):
-                mid = 0.5 * (a + b)
-                fm = np.where(mask, self._col_sp(mid), 0.0)
-                left = (fa <= 0) == (fm <= 0)
-                a = np.where(left, mid, a)
-                fa = np.where(left, fm, fa)
-                b = np.where(left, b, mid)
-            crit = np.where(mask, 0.5 * (a + b), np.nan)
         self.crit = crit
         self.crit_s = np.where(np.isnan(crit), np.nan,
                                self._col_s(np.nan_to_num(crit, nan=lo)))
@@ -180,15 +185,57 @@ class FaceFluxTable:
 
     def entropy_average(self, dU: Callable, u, u_ref: float = 0.0):
         """Face average of the entropy flux: integral of U'(w) s_e'(w) dw from
-        ``u_ref`` to ``u`` (24-point Gauss-Legendre), per face."""
+        ``u_ref`` to ``u`` (24-point Gauss-Legendre), per face.  For a
+        separable flux this is c_e times the integral of U'(w) g_u(w)."""
         u = np.asarray(u, dtype=float)
         if u.ndim == 0:
             u = np.full(self.n_faces, float(u))
         half = 0.5 * (u - u_ref)
         mid = 0.5 * (u + u_ref)
+        if self.c is not None:
+            # node by node: (F,) temporaries stay in cache, (F, 24) ones do not
+            total = np.zeros_like(u)
+            for x, weight in zip(_GL_X, _GL_W):
+                w = mid + x * half
+                total += weight * (dU(w) * self.flux.g_u(w))
+            return self.c * (half * total)
         w = mid[:, None] + half[:, None] * _GL_X[None, :]          # (F, 24)
         vals = dU(w) * self.sp(w)
         return half * np.sum(_GL_W * vals, axis=-1)
+
+
+def _bisect_sign_changes(d, grid, fprime):
+    """Roots of a derivative from its samples ``d`` (rows x grid points).
+
+    Row r's k-th sign change in increasing u brackets column k of the result
+    (NaN past the row's count); each bracket is refined by 60 bisection
+    steps of ``fprime``, which maps a (rows, C) array of states to the
+    derivative at them.  Brackets are found and kept by the sign bit, so a
+    root on a grid point, where the derivative is a signed zero, stays in
+    its bracket."""
+    n_rows = d.shape[0]
+    sign = np.signbit(d)
+    change = sign[:, 1:] != sign[:, :-1]
+    count = change.sum(axis=1)
+    max_crit = int(count.max()) if count.size else 0
+    if not max_crit:
+        return np.full((n_rows, 0), np.nan)
+    rows, cols = np.nonzero(change)
+    rank = np.arange(rows.size) - (np.cumsum(count) - count)[rows]
+    a = np.full((n_rows, max_crit), grid[0])
+    b = np.full((n_rows, max_crit), grid[0])
+    a[rows, rank] = grid[cols]
+    b[rows, rank] = grid[cols + 1]
+    mask = np.arange(max_crit) < count[:, None]
+    fa = np.where(mask, fprime(a), 0.0)
+    for _ in range(60):
+        mid = 0.5 * (a + b)
+        fm = np.where(mask, fprime(mid), 0.0)
+        left = np.signbit(fa) == np.signbit(fm)
+        a = np.where(left, mid, a)
+        fa = np.where(left, fm, fa)
+        b = np.where(left, b, mid)
+    return np.where(mask, 0.5 * (a + b), np.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -211,20 +258,23 @@ class NumericalFlux:
     # -- canonical per-face values --------------------------------------------
 
     def _godunov_state(self, a, b, s_a, s_b):
-        """Per-face minimizer/maximizer of s over [a^b, a v b] (Godunov state)."""
+        """Per-face minimizer/maximizer of s over [a^b, a v b] (Godunov state).
+
+        The candidates are a, b and the critical points inside the interval,
+        in that order; the first one attaining the extremum wins."""
         t = self.table
         lo = np.minimum(a, b)
         hi = np.maximum(a, b)
-        cand_w = np.concatenate([a[:, None], b[:, None], t.crit], axis=1)
-        cand_s = np.concatenate([s_a[:, None], s_b[:, None], t.crit_s], axis=1)
-        inside = np.concatenate(
-            [np.ones((a.size, 2), dtype=bool),
-             (t.crit > lo[:, None]) & (t.crit < hi[:, None])], axis=1)
-        take_min = (a <= b)[:, None]
-        masked = np.where(inside, cand_s, np.where(take_min, np.inf, -np.inf))
-        idx = np.where(take_min[:, 0], np.argmin(masked, axis=1), np.argmax(masked, axis=1))
-        rows = np.arange(a.size)
-        return cand_w[rows, idx], cand_s[rows, idx]
+        take_min = a <= b
+        pick_b = np.where(take_min, s_b < s_a, s_b > s_a)
+        w = np.where(pick_b, b, a)
+        s = np.where(pick_b, s_b, s_a)
+        for c, c_s in zip(t.crit.T, t.crit_s.T):
+            better = ((c > lo) & (c < hi)
+                      & np.where(take_min, c_s < s, c_s > s))
+            w = np.where(better, c, w)
+            s = np.where(better, c_s, s)
+        return w, s
 
     def _variation(self, a, b, s_a, s_b):
         """TV(s; [a^b, a v b]) per face, via the critical-point partition."""

@@ -305,38 +305,39 @@ def _cell_polygon(mesh: SphereMesh, cell: int):
 
 
 def export_vtk(mesh: SphereMesh, path: str, fields: Optional[dict] = None) -> None:
-    """Legacy ASCII VTK UNSTRUCTURED_GRID of the cell polygons with cell data."""
+    """Legacy ASCII VTK UNSTRUCTURED_GRID of the cell polygons with cell data.
+
+    The points are the n_phi (n_theta + 1) mesh vertices, vertex (i, k) at
+    (phi_i, theta_k) having index k n_phi + i.  Band cell (i, j) references
+    (i, j), (i+1, j), (i+1, j+1), (i, j+1) (i+1 taken mod n_phi), and each
+    cap its rim circle in increasing phi."""
     fields = fields or {}
-    points = []
-    polys = []
-    for c in range(mesh.n_cells):
-        corners = _cell_polygon(mesh, c)
-        idx = []
-        for (ph, th) in corners:
-            points.append((math.sin(th) * math.cos(ph),
-                           math.sin(th) * math.sin(ph),
-                           math.cos(th)))
-            idx.append(len(points) - 1)
-        polys.append(idx)
+    n_phi, n_theta = mesh.n_phi, mesh.n_theta
+    phi = np.arange(n_phi) * (2.0 * math.pi / n_phi)
+    theta = np.linspace(mesh.theta_min, math.pi - mesh.theta_min, n_theta + 1)[:, None]
+    points = np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi),
+                       np.cos(theta) + 0.0 * phi], axis=-1).reshape(-1, 3)
+    vertex = np.arange(points.shape[0]).reshape(n_theta + 1, n_phi)
+    east = np.roll(vertex, -1, axis=1)
+    band = np.stack([vertex[:-1], east[:-1], east[1:], vertex[1:]], axis=-1)
+    cap_row = f"{n_phi}" + " %d" * n_phi + "\n"
+    n_cells = mesh.n_cells
     with open(path, "w") as fh:
         fh.write("# vtk DataFile Version 3.0\n")
         fh.write("sphere finite volume mesh\n")
         fh.write("ASCII\n")
         fh.write("DATASET UNSTRUCTURED_GRID\n")
-        fh.write(f"POINTS {len(points)} double\n")
-        for p in points:
-            fh.write(f"{p[0]:.17g} {p[1]:.17g} {p[2]:.17g}\n")
-        total = sum(len(ix) + 1 for ix in polys)
-        fh.write(f"CELLS {len(polys)} {total}\n")
-        for ix in polys:
-            fh.write(" ".join([str(len(ix))] + [str(k) for k in ix]) + "\n")
-        fh.write(f"CELL_TYPES {len(polys)}\n")
-        for ix in polys:
-            fh.write("7\n")   # VTK_POLYGON
+        fh.write(f"POINTS {points.shape[0]} double\n")
+        fh.write(("%.17g %.17g %.17g\n" * points.shape[0]) % tuple(points.ravel()))
+        fh.write(f"CELLS {n_cells} {5 * n_theta * n_phi + 2 * (n_phi + 1)}\n")
+        fh.write(("4 %d %d %d %d\n" * (n_theta * n_phi) + cap_row * 2)
+                 % tuple(np.concatenate([band.ravel(), vertex[0], vertex[-1]])))
+        fh.write(f"CELL_TYPES {n_cells}\n")
+        fh.write("7\n" * n_cells)   # VTK_POLYGON
         if fields:
-            fh.write(f"CELL_DATA {len(polys)}\n")
+            fh.write(f"CELL_DATA {n_cells}\n")
             for name, values in fields.items():
                 fh.write(f"SCALARS {name} double 1\n")
                 fh.write("LOOKUP_TABLE default\n")
-                for v in np.asarray(values, dtype=float):
-                    fh.write(f"{v:.17g}\n")
+                values = np.asarray(values, dtype=float)
+                fh.write(("%.17g\n" * values.size) % tuple(values))

@@ -11,14 +11,17 @@ from spherefv import (
     LAX_FRIEDRICHS,
     build_latlon,
     cfl_timestep,
+    entropy_report,
     init_state,
+    kruzkov_spec,
     make_flux,
     make_numerical_flux,
     numerical_flux,
     run,
+    square_spec,
     step,
 )
-from spherefv.fvm import FaceFluxTable
+from spherefv.fvm import FaceFluxTable, NumericalFlux
 
 
 def _setup(kind=GODUNOV, n_phi=8, n_theta=4, flux_name="latitude_burgers",
@@ -66,6 +69,28 @@ def test_monotonicity_sampled(kind):
     worst = nf.validate_monotonicity(n_states=15, max_faces=60,
                                      rng=np.random.default_rng(43))
     assert worst >= -1e-12
+
+
+@pytest.mark.parametrize("flux_name, params", [
+    ("latitude_burgers", {"c_expr": "cos(theta)"}),
+    ("potential", {"a": "0.5*u^2*n3 + u*n1*n2 + sin(3*u)*n1^2*n2"})])
+def test_godunov_state_is_first_extremal_candidate(flux_name, params):
+    mesh = build_latlon(8, 4, 0.3)
+    nf = make_numerical_flux(GODUNOV, mesh, make_flux(flux_name, params), box=(-1.5, 1.5))
+    t = nf.table
+    rng = np.random.default_rng(48)
+    for states in (np.linspace(-1.5, 1.5, 7), rng.uniform(-1.5, 1.5, 50)):
+        a = rng.choice(states, mesh.n_faces)
+        b = rng.choice(states, mesh.n_faces)
+        s_a, s_b = t.s(a), t.s(b)
+        w, s = nf._godunov_state(a, b, s_a, s_b)
+        for e in range(mesh.n_faces):
+            lo, hi = sorted((a[e], b[e]))
+            cands = [(a[e], s_a[e]), (b[e], s_b[e])] + [
+                (c, c_s) for c, c_s in zip(t.crit[e], t.crit_s[e]) if lo < c < hi]
+            # min and max return the first extremal candidate
+            pick = (min if a[e] <= b[e] else max)(cands, key=lambda p: p[1])
+            assert (w[e], s[e]) == pick
 
 
 def test_upwind_equivalence_for_monotone_restriction():
@@ -235,6 +260,93 @@ def test_table_view_matches_full_evaluation():
     b = rng.uniform(-1.2, 1.2, mesh.n_faces)
     full = nf.values(a, b)
     ids = np.sort(rng.choice(mesh.n_faces, 17, replace=False))
-    from spherefv.fvm import NumericalFlux
     sub = NumericalFlux(kind=nf.kind, table=nf.table.view(ids))
     assert np.array_equal(sub.values(a[ids], b[ids]), full[ids])
+
+
+# ---------------------------------------------------------------------------
+# separable fast path
+# ---------------------------------------------------------------------------
+
+SEPARABLE_FLUXES = [("solid_rotation", {"omega": -0.7}),
+                    ("latitude_burgers", {"c_expr": "sin(theta)"}),
+                    ("latitude_burgers", {"c_expr": "cos(theta)"})]
+
+
+@pytest.mark.parametrize("n_phi, n_theta", [(12, 6), (47, 24)])
+@pytest.mark.parametrize("name, params", SEPARABLE_FLUXES,
+                         ids=["rotation", "burgers-sin", "burgers-cos"])
+def test_separable_path_matches_generic(name, params, n_phi, n_theta):
+    box = (-1.5, 1.5)
+    mesh = build_latlon(n_phi, n_theta, 0.3)
+    flux = make_flux(name, params)
+    fast = FaceFluxTable(mesh, flux, box)
+    # without g, g_u and X the table takes the generic path
+    slow = FaceFluxTable(mesh, replace(flux, g=None, g_u=None, X=None), box)
+    assert fast.c is not None and slow.c is None
+
+    tol = 1e-14
+    states = np.linspace(box[0], box[1], 9)
+    rng = np.random.default_rng(47)
+    u = rng.uniform(box[0], box[1], mesh.n_faces)
+    dU = lambda w: w  # noqa: E731 - the square entropy U = u^2 / 2
+    for table_u in [u, np.column_stack([u, -u])]:
+        assert np.abs(fast.s(table_u) - slow.s(table_u)).max() <= tol
+        assert np.abs(fast.sp(table_u) - slow.sp(table_u)).max() <= tol
+    assert np.abs(fast.speed - slow.speed).max() <= tol
+    assert np.abs(fast.entropy_average(dU, u) - slow.entropy_average(dU, u)).max() <= tol
+
+    # every critical point of the generic scan is found on the fast path
+    found = ~np.isnan(slow.crit)
+    assert fast.crit.shape[1] >= slow.crit.shape[1]
+    assert np.abs(fast.crit[:, :slow.crit.shape[1]][found] - slow.crit[found]).max(
+        initial=0.0) <= 1e-12
+
+    for kind in FLUX_KINDS:
+        nf_fast = NumericalFlux(kind=kind, table=fast)
+        nf_slow = NumericalFlux(kind=kind, table=slow)
+        for ua in states:
+            a = np.full(mesh.n_faces, ua)
+            for ub in states:
+                b = np.full(mesh.n_faces, ub)
+                assert np.abs(nf_fast.values(a, b) - nf_slow.values(a, b)).max() <= tol
+
+
+@pytest.mark.parametrize("path", ["separable", "generic"])
+def test_box_expansion_rebuilds_table(path):
+    mesh = build_latlon(12, 6, 0.3)
+    flux = make_flux("latitude_burgers", {"c_expr": "sin(theta)"})
+    if path == "generic":
+        flux = replace(flux, g=None, g_u=None, X=None)
+    box = (-0.2, 0.6)
+    nf = make_numerical_flux(GODUNOV, mesh, flux, box=box)
+    state = _initial(mesh)
+    assert state.u.min() < box[0]
+    state.tau = cfl_timestep(mesh, flux, nf, (-1.0, 1.0), 0.5)
+    with pytest.warns(RuntimeWarning, match="state left the tracked box"):
+        step(state, flux, nf)
+    t = nf.table
+    assert t.box[0] <= state.u.min() and state.u.max() <= t.box[1]
+    fresh = FaceFluxTable(mesh, flux, t.box)
+    assert (t.c is None) == (path == "generic")
+    for name in ("crit", "crit_s", "speed"):
+        np.testing.assert_array_equal(getattr(t, name), getattr(fresh, name))
+    assert nf.validate_monotonicity() >= -nf.monotonicity_tol
+
+
+def test_separable_step_never_evaluates_f():
+    mesh = build_latlon(12, 6, 0.3)
+    flux = make_flux("latitude_burgers", {"c_expr": "sin(theta)"})
+    box = (-1.5, 1.5)
+
+    def forbidden(*args):
+        raise AssertionError("separable path evaluated f or f_u")
+
+    blind = replace(flux, f=forbidden, f_u=forbidden)
+    for kind in FLUX_KINDS:
+        nf = make_numerical_flux(kind, mesh, blind, box=box)
+        state = _initial(mesh)
+        state.tau = cfl_timestep(mesh, flux, nf, box, 0.5)
+        _, decomp = step(state, blind, nf)
+        for spec in (square_spec(), kruzkov_spec(0.0)):
+            entropy_report(nf, decomp, spec)

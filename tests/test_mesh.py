@@ -12,7 +12,7 @@ from spherefv import (
     make_flux,
     mesh_info,
 )
-from spherefv.mesh import CAP_RIM, LATITUDE, MERIDIAN, export_vtk
+from spherefv.mesh import CAP_RIM, LATITUDE, MERIDIAN, _cell_polygon, export_vtk
 
 
 def test_band_cell_area_closed_form():
@@ -292,9 +292,28 @@ def test_slot_geometry(n_phi, n_theta):
 
 
 def test_vtk_export(tmp_path, small_mesh):
+    mesh = small_mesh
     path = tmp_path / "mesh.vtk"
-    export_vtk(small_mesh, str(path), {"u": np.arange(small_mesh.n_cells, dtype=float)})
+    export_vtk(mesh, str(path), {"u": np.arange(mesh.n_cells, dtype=float)})
     text = path.read_text()
     assert text.startswith("# vtk DataFile Version")
     assert "UNSTRUCTURED_GRID" in text
     assert "CELL_DATA" in text and "u" in text
+
+    # the shared vertices are written once, and every cell references its
+    # polygon's corners
+    lines = text.splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith("POINTS"))
+    n_points = int(lines[at].split()[1])
+    assert n_points == mesh.n_phi * (mesh.n_theta + 1)
+    points = np.array([[float(x) for x in line.split()]
+                       for line in lines[at + 1:at + 1 + n_points]])
+    at += 1 + n_points
+    assert lines[at].split()[:2] == ["CELLS", str(mesh.n_cells)]
+    for cell, line in enumerate(lines[at + 1:at + 1 + mesh.n_cells]):
+        ids = [int(k) for k in line.split()]
+        corners = _cell_polygon(mesh, cell)
+        assert ids[0] == len(ids) - 1 == len(corners)
+        expected = np.array([(math.sin(th) * math.cos(ph), math.sin(th) * math.sin(ph),
+                              math.cos(th)) for ph, th in corners])
+        assert np.abs(points[ids[1:]] - expected).max() <= 1e-15
