@@ -20,7 +20,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -59,7 +59,6 @@ class ScenarioConfig:
     csv_name: str = "diag.csv"
     vtk_prefix: str = "state"
     vtk_cadence: int = 0           # 0: final snapshot only
-    raw: dict = field(default_factory=dict)
 
 
 def _require(cfg: dict, key: str, where: str):
@@ -138,7 +137,6 @@ def load_config(path: str) -> ScenarioConfig:
         csv_name=str(out_cfg.get("csv", "diag.csv")),
         vtk_prefix=str(out_cfg.get("vtk", "state")),
         vtk_cadence=int(out_cfg.get("vtk_cadence", 0)),
-        raw=raw,
     )
     # fail fast on registry and mesh parameter problems
     fluxmod.make_flux(cfg.flux_name, cfg.flux_params)

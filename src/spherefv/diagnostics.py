@@ -32,12 +32,12 @@ from .mesh import SphereMesh, cell_averages
 # ---------------------------------------------------------------------------
 
 def tv_face_weights(mesh: SphereMesh, X: geometry.VectorField) -> np.ndarray:
-    """Per-face weights int_e |g(X, n_e)| dv_e (orientation-independent)."""
-    comp = np.empty((2, mesh.n_faces, 3))
-    for f in range(mesh.n_faces):
-        for q in range(3):
-            comp[:, f, q] = X.at(np.array([mesh.face_q_phi[f, q],
-                                           mesh.face_q_theta[f, q]]))
+    """Per-face weights int_e |g(X, n_e)| dv_e (orientation-independent).
+
+    ``X`` is evaluated once, at the stacked face nodes y = (phi, theta) of
+    shape (2, F, 3): its components must accept coordinate arrays and return
+    shape (2, F, 3), or (2,) for a constant field (broadcast to every node)."""
+    comp = X.at(np.stack([mesh.face_q_phi, mesh.face_q_theta]))
     st2 = np.sin(mesh.face_q_theta) ** 2
     integrand = np.abs(st2 * comp[0] * mesh.face_n_phi + comp[1] * mesh.face_n_theta)
     return np.sum(mesh.face_q_w * integrand, axis=-1)

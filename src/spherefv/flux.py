@@ -14,7 +14,7 @@ holding the intrinsic components (f^phi, f^theta).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -27,10 +27,10 @@ from .expressions import compile_expression
 _FD_STEP = 1e-3
 
 
-def _fd_u(func: Callable, u, *args, step: float = _FD_STEP):
-    """4th-order centered derivative of ``func`` in its first (state) argument."""
-    return (-func(u + 2 * step, *args) + 8 * func(u + step, *args)
-            - 8 * func(u - step, *args) + func(u - 2 * step, *args)) / (12 * step)
+def _stencil(shifted: Callable, step: float = _FD_STEP):
+    """4th-order centered derivative at d = 0 of ``shifted(d)``."""
+    return (-shifted(2 * step) + 8 * shifted(step)
+            - 8 * shifted(-step) + shifted(-2 * step)) / (12 * step)
 
 
 # ---------------------------------------------------------------------------
@@ -42,18 +42,16 @@ class FluxField:
     """The map (u, x) -> f(u, x) in intrinsic sphere components.
 
     ``f`` and ``f_u`` take ``(u, phi, theta)`` with numpy broadcasting and
-    return shape ``(2,) + broadcast``.  ``lipschitz_bound`` bounds |f_u|_g over
-    the reference state box; ``potential`` holds the scalar a(u, n) when the
-    flux was built from one.  A separable flux f(u, x) = g(u) X(x) (see
-    :func:`separable`) also carries ``g``, its derivative ``g_u`` (both
-    elementwise in u) and the field ``X(phi, theta)`` of shape
-    ``(2,) + broadcast``.
+    return shape ``(2,) + broadcast``.  ``potential`` holds the scalar
+    a(u, n) when the flux was built from one.  A separable flux
+    f(u, x) = g(u) X(x) (see :func:`separable`) also carries ``g``, its
+    derivative ``g_u`` (both elementwise in u) and the field
+    ``X(phi, theta)`` of shape ``(2,) + broadcast``.
     """
 
     name: str
     f: Callable
     f_u: Callable
-    lipschitz_bound: float
     potential: Optional[Callable] = None
     g: Optional[Callable] = None
     g_u: Optional[Callable] = None
@@ -66,15 +64,11 @@ class FluxField:
     def lipschitz_on(self, u_min: float, u_max: float, n_u: int = 33,
                      n_theta: int = 65) -> float:
         """Sampled sup of |f_u|_g over a state interval and a theta sweep."""
-        us = np.linspace(u_min, u_max, n_u)[:, None]
-        thetas = np.linspace(1e-3, math.pi - 1e-3, n_theta)[None, :]
-        phis = np.linspace(0.0, 2 * math.pi, 17)
-        best = 0.0
-        for p in phis:
-            comp = self.f_u(us, p, thetas)
-            speed = np.sqrt((np.sin(thetas) * comp[0]) ** 2 + comp[1] ** 2)
-            best = max(best, float(speed.max()))
-        return best
+        us = np.linspace(u_min, u_max, n_u)[None, :, None]
+        thetas = np.linspace(1e-3, math.pi - 1e-3, n_theta)
+        phis = np.linspace(0.0, 2 * math.pi, 17)[:, None, None]
+        comp = self.f_u(us, phis, thetas)
+        return float(np.sqrt((np.sin(thetas) * comp[0]) ** 2 + comp[1] ** 2).max())
 
 
 def divfree_residual(f: FluxField, u: float, sample, step: float = _FD_STEP) -> float:
@@ -86,16 +80,8 @@ def divfree_residual(f: FluxField, u: float, sample, step: float = _FD_STEP) -> 
     if not (geometry.DEFAULT_POLE_BAND <= theta <= math.pi - geometry.DEFAULT_POLE_BAND):
         raise geometry.PoleError(f"divergence residual undefined at theta = {theta}")
 
-    def wphi(p):
-        return f.f(u, p, theta)[0] * math.sin(theta)
-
-    def wtheta(t):
-        return f.f(u, phi, t)[1] * np.sin(t)
-
-    d_phi = (-wphi(phi + 2 * step) + 8 * wphi(phi + step)
-             - 8 * wphi(phi - step) + wphi(phi - 2 * step)) / (12 * step)
-    d_theta = (-wtheta(theta + 2 * step) + 8 * wtheta(theta + step)
-               - 8 * wtheta(theta - step) + wtheta(theta - 2 * step)) / (12 * step)
+    d_phi = _stencil(lambda d: f.f(u, phi + d, theta)[0] * math.sin(theta), step)
+    d_theta = _stencil(lambda d: f.f(u, phi, theta + d)[1] * np.sin(theta + d), step)
     return float(abs(d_phi + d_theta))
 
 
@@ -103,13 +89,11 @@ def divfree_residual(f: FluxField, u: float, sample, step: float = _FD_STEP) -> 
 # construction: separable fluxes, potentials, cross products
 # ---------------------------------------------------------------------------
 
-def separable(name: str, g: Callable, g_u: Callable, X: Callable,
-              lipschitz_bound: Optional[float] = None) -> FluxField:
+def separable(name: str, g: Callable, g_u: Callable, X: Callable) -> FluxField:
     """Flux f(u, x) = g(u) X(x), with f_u = g_u(u) X(x).
 
     ``g`` and ``g_u`` act elementwise on state arrays; ``X(phi, theta)``
-    returns the intrinsic components, shape ``(2,) + broadcast``.  Without a
-    ``lipschitz_bound`` it is sampled over |u| <= 1."""
+    returns the intrinsic components, shape ``(2,) + broadcast``."""
 
     def f(u, phi, theta):
         u, phi, theta = np.broadcast_arrays(np.asarray(u, dtype=float), phi, theta)
@@ -119,10 +103,7 @@ def separable(name: str, g: Callable, g_u: Callable, X: Callable,
         u, phi, theta = np.broadcast_arrays(np.asarray(u, dtype=float), phi, theta)
         return g_u(u) * X(phi, theta)
 
-    field = FluxField(name=name, f=f, f_u=f_u, lipschitz_bound=0.0, g=g, g_u=g_u, X=X)
-    if lipschitz_bound is None:
-        lipschitz_bound = field.lipschitz_on(-1.0, 1.0)
-    return replace(field, lipschitz_bound=lipschitz_bound)
+    return FluxField(name=name, f=f, f_u=f_u, g=g, g_u=g_u, X=X)
 
 
 def _sphere_normals(phi, theta):
@@ -137,91 +118,60 @@ def _sphere_normals(phi, theta):
     return n, n_phi, n_theta
 
 
-def from_potential(a: Callable, name: str = "potential",
-                   lipschitz_box=(-1.0, 1.0), step: float = _FD_STEP) -> FluxField:
+def _cross_components(vec, n_phi, n_theta):
+    """Intrinsic components of n x vec for an ambient vector ``vec``:
+        f^phi = (vec . n_theta) / sin(theta),   f^theta = -(vec . n_phi) / sin(theta)."""
+    st = np.sqrt(np.sum(n_phi * n_phi, axis=0))  # = sin(theta) off the poles
+    return np.stack(np.broadcast_arrays(np.sum(vec * n_theta, axis=0) / st,
+                                        -np.sum(vec * n_phi, axis=0) / st))
+
+
+def _tangential_gradient(a: Callable, u, n, step: float):
+    """Tangential part of the ambient gradient of a(u, .) at the unit normals
+    ``n``; shape (3,) + broadcast."""
+    axes = np.eye(3).reshape((3, 3) + (1,) * (n.ndim - 1))
+    grad = np.stack(np.broadcast_arrays(
+        *[_stencil(lambda d, e=e: a(u, *(n + d * e)), step) for e in axes]))
+    return grad - np.sum(grad * n, axis=0) * n
+
+
+def from_potential(a: Callable, name: str = "potential", step: float = _FD_STEP) -> FluxField:
     """Flux f = n x Phi with Phi the tangential gradient of a(u, n).
 
     ``a(u, n1, n2, n3)`` must be smooth near the unit sphere and vectorized.
-    Such fluxes are automatically divergence-free at every frozen state.
-    The intrinsic components are
-        f^phi = (Phi . n_theta) / sin(theta),   f^theta = -(Phi . n_phi) / sin(theta).
-    """
-
-    def tangential_gradient(u, phi, theta):
-        n, n_phi, n_theta = _sphere_normals(phi, theta)
-
-        def eval_a(point):
-            return a(u, point[0], point[1], point[2])
-
-        grad = []
-        for i in range(3):
-            e = np.zeros(3)
-            e[i] = step
-            e = e.reshape((3,) + (1,) * (n.ndim - 1))
-            grad.append((-eval_a(n + 2 * e) + 8 * eval_a(n + e)
-                         - 8 * eval_a(n - e) + eval_a(n - 2 * e)) / (12 * step))
-        grad = np.stack(np.broadcast_arrays(*grad))
-        normal_part = np.sum(grad * n, axis=0)
-        return grad - normal_part * n, n, n_phi, n_theta
+    Such fluxes are automatically divergence-free at every frozen state."""
 
     def f(u, phi, theta):
-        phi_field, n, n_phi, n_theta = tangential_gradient(u, phi, theta)
-        st = np.sqrt(np.sum(n_phi * n_phi, axis=0))  # = sin(theta) off the poles
-        fphi = np.sum(phi_field * n_theta, axis=0) / st
-        ftheta = -np.sum(phi_field * n_phi, axis=0) / st
-        return np.stack(np.broadcast_arrays(fphi, ftheta))
+        n, n_phi, n_theta = _sphere_normals(phi, theta)
+        return _cross_components(_tangential_gradient(a, u, n, step), n_phi, n_theta)
 
     def f_u(u, phi, theta):
-        return _fd_u(f, u, phi, theta)
+        return _stencil(lambda d: f(u + d, phi, theta))
 
-    field = FluxField(name=name, f=f, f_u=f_u, lipschitz_bound=0.0, potential=a)
-    lip = field.lipschitz_on(lipschitz_box[0], lipschitz_box[1])
-    return FluxField(name=name, f=f, f_u=f_u, lipschitz_bound=lip, potential=a)
+    return FluxField(name=name, f=f, f_u=f_u, potential=a)
 
 
 def tangential_potential_gradient(a: Callable, u, phi, theta, step: float = _FD_STEP):
     """Phi = tangential gradient of a(u, .) at n(phi, theta); shape (3,) + broadcast."""
-    n, _, _ = _sphere_normals(phi, theta)
-
-    def eval_a(point):
-        return a(u, point[0], point[1], point[2])
-
-    grad = []
-    for i in range(3):
-        e = np.zeros(3)
-        e[i] = step
-        e = e.reshape((3,) + (1,) * (n.ndim - 1))
-        grad.append((-eval_a(n + 2 * e) + 8 * eval_a(n + e)
-                     - 8 * eval_a(n - e) + eval_a(n - 2 * e)) / (12 * step))
-    grad = np.stack(np.broadcast_arrays(*grad))
-    return grad - np.sum(grad * n, axis=0) * n
+    return _tangential_gradient(a, u, _sphere_normals(phi, theta)[0], step)
 
 
-def cross_flux(phi_vec: Callable, name: str = "cross",
-               lipschitz_box=(-1.0, 1.0)) -> FluxField:
+def cross_flux(phi_vec: Callable, name: str = "cross") -> FluxField:
     """Flux f = n x Phi for an ambient vector function Phi(u, phi, theta) -> R^3.
 
     Only the tangential part of Phi contributes; the result is tangent to the
-    sphere with intrinsic components per the rotation identities
-        f^phi = (Phi . n_theta) / sin(theta),   f^theta = -(Phi . n_phi) / sin(theta).
-    """
+    sphere (intrinsic components as in :func:`_cross_components`)."""
 
     def f(u, phi, theta):
         n, n_phi, n_theta = _sphere_normals(phi, theta)
         vec = np.asarray(phi_vec(u, phi, theta), dtype=float)
-        extra = n.ndim - vec.ndim
-        vec = vec.reshape(vec.shape[:1] + (1,) * extra + vec.shape[1:])
-        st = np.sqrt(np.sum(n_phi * n_phi, axis=0))
-        fphi = np.sum(vec * n_theta, axis=0) / st
-        ftheta = -np.sum(vec * n_phi, axis=0) / st
-        return np.stack(np.broadcast_arrays(fphi, ftheta))
+        vec = vec.reshape(vec.shape[:1] + (1,) * (n.ndim - vec.ndim) + vec.shape[1:])
+        return _cross_components(vec, n_phi, n_theta)
 
     def f_u(u, phi, theta):
-        return _fd_u(f, u, phi, theta)
+        return _stencil(lambda d: f(u + d, phi, theta))
 
-    field = FluxField(name=name, f=f, f_u=f_u, lipschitz_bound=0.0)
-    lip = field.lipschitz_on(lipschitz_box[0], lipschitz_box[1])
-    return FluxField(name=name, f=f, f_u=f_u, lipschitz_bound=lip)
+    return FluxField(name=name, f=f, f_u=f_u)
 
 
 def embedded_flux(f: FluxField, u: float, phi: float, theta: float) -> np.ndarray:
@@ -265,7 +215,7 @@ def entropy_flux(U: Callable, f: FluxField, u_ref: float = 0.0,
     _check_convex(U, interval)
     if dU is None:
         def dU(u, _U=U):  # noqa: ANN001 - numeric derivative fallback
-            return _fd_u(_U, u)
+            return _stencil(lambda d: _U(u + d))
 
     def F(u, phi, theta):
         phi = np.asarray(phi, dtype=float)
@@ -393,8 +343,7 @@ def make_flux(name: str, params: Optional[dict] = None) -> FluxField:
         def X(phi, theta):
             return np.stack([np.full(np.shape(theta), omega), np.zeros(np.shape(theta))])
 
-        return separable(name, g=lambda u: u, g_u=np.ones_like, X=X,
-                         lipschitz_bound=abs(omega))
+        return separable(name, g=lambda u: u, g_u=np.ones_like, X=X)
 
     if name == "latitude_burgers":
         c_expr = str(params.pop("c_expr", "1"))

@@ -25,6 +25,11 @@ c_e times a scalar integral of U' g_u.  No step evaluates f on the face
 nodes, and the table needs O(faces) memory.  Every other flux is averaged
 node by node, its critical points scanned per face.
 
+Face-table evaluations follow one shape rule: a scalar state is taken at
+every face; an array state has the faces on its first axis and is viewed as
+(F, C) -- C states per face, C = 0 included -- and the result has the
+state's shape.
+
 A face value is computed once in the canonical orientation and enters the two
 adjacent cells with opposite signs, so the conservation property is exact in
 floating point.  Per-cell face accumulation runs over the mesh's flat
@@ -70,7 +75,9 @@ class FaceFluxTable:
     ``box`` is the state interval over which critical points and wave speeds
     are tracked; it can be rebuilt (expanded) on demand.  For a separable
     flux ``c`` holds the per-face constants c_e of s_e = g c_e (module
-    docstring); otherwise it is None.
+    docstring); otherwise it is None.  ``s`` and ``sp`` take a scalar (every
+    face) or an array of shape (F, ...), evaluated as g(u) c_e or, viewed as
+    (F, C), at the (F, C, Q) face nodes; they return the shape of ``u``.
     """
 
     def __init__(self, mesh: SphereMesh, flux: FluxField, box, n_scan: int = 129):
@@ -85,8 +92,8 @@ class FaceFluxTable:
         self.measure = mesh.face_measure
         self._st2 = np.sin(self.q_theta) ** 2
         self.n_faces = self.measure.size
-        self.c = (None if flux.g is None
-                  else self._average(np.asarray(flux.X(self.q_phi, self.q_theta))))
+        self.c = (None if flux.g is None else self._average(np.asarray(
+            flux.X(self.q_phi[:, None, :], self.q_theta[:, None, :])))[:, 0])
         self.rebuild(box)
 
     def view(self, index) -> "FaceFluxTable":
@@ -110,32 +117,29 @@ class FaceFluxTable:
     # -- pointwise evaluations ------------------------------------------------
 
     def _average(self, comp):
-        """Face-average of g(., n) given intrinsic components with node axis last."""
+        """Face average of g(., n): intrinsic components (2, F, C, Q) -> (F, C)."""
         integrand = (self._st2[:, None] * comp[0] * self.n_phi[:, None]
-                     + comp[1] * self.n_theta[:, None]
-                     if comp.ndim == 4 else
-                     self._st2 * comp[0] * self.n_phi + comp[1] * self.n_theta)
-        if comp.ndim == 4:
-            return np.sum(self.q_w[:, None] * integrand, axis=-1) / self.measure[:, None]
-        return np.sum(self.q_w * integrand, axis=-1) / self.measure
+                     + comp[1] * self.n_theta[:, None])
+        return np.sum(self.q_w[:, None] * integrand, axis=-1) / self.measure[:, None]
 
     def _eval(self, func, u):
         """Evaluate a flux-like callable and face-average it.
 
-        ``u`` may be a scalar, shape (F,), or shape (F, Q); the result has the
-        same shape (faces first).  For a separable flux ``func`` is the
-        scalar factor (g or g_u), scaled by c_e."""
+        A scalar ``u`` is taken at every face; otherwise the first axis of
+        ``u`` runs over the faces.  For a separable flux ``func`` is the
+        scalar factor (g or g_u), scaled by c_e broadcast over the trailing
+        axes; otherwise ``u`` is viewed as (F, C) and ``func`` is evaluated at
+        the (F, C, Q) face nodes.  The result has the shape of ``u`` (of (F,)
+        for a scalar)."""
         u = np.asarray(u, dtype=float)
         if u.ndim == 0:
             u = np.full(self.n_faces, float(u))
         if self.c is not None:
             return func(u) * self.c.reshape(self.c.shape + (1,) * (u.ndim - 1))
-        if u.ndim == 1:
-            comp = np.asarray(func(u[:, None], self.q_phi, self.q_theta))
-            return self._average(comp)
-        comp = np.asarray(func(u[:, :, None], self.q_phi[:, None, :],
+        cols = u.reshape(u.shape[0], math.prod(u.shape[1:]))
+        comp = np.asarray(func(cols[:, :, None], self.q_phi[:, None, :],
                                self.q_theta[:, None, :]))
-        return self._average(comp)
+        return self._average(comp).reshape(u.shape)
 
     def s(self, u):
         """Canonical face-averaged normal flux at state(s) u."""
@@ -159,9 +163,9 @@ class FaceFluxTable:
         self.box = (lo, hi)
         grid = np.linspace(lo, hi, self.n_scan)
         if self.c is None:
-            d = self.sp(np.broadcast_to(grid, (self.n_faces, self.n_scan)).copy())
+            d = self.sp(np.broadcast_to(grid, (self.n_faces, self.n_scan)))
             self.speed = np.max(np.abs(d), axis=1)        # sup |s'| per face
-            crit = _bisect_sign_changes(d, grid, self._col_sp)
+            crit = _bisect_sign_changes(d, grid, self.sp)
         else:
             d = self.flux.g_u(grid)[None, :]
             self.speed = np.abs(self.c) * np.max(np.abs(d))
@@ -170,16 +174,7 @@ class FaceFluxTable:
         self.lam = 1.01 * self.speed                      # LF dissipation
         self.crit = crit
         self.crit_s = np.where(np.isnan(crit), np.nan,
-                               self._col_s(np.nan_to_num(crit, nan=lo)))
-
-    def _col_s(self, cols):
-        """s at an (F, C) array of per-face states (column-by-column)."""
-        return np.stack([self.s(cols[:, j]) for j in range(cols.shape[1])], axis=1) \
-            if cols.shape[1] else np.empty_like(cols)
-
-    def _col_sp(self, cols):
-        return np.stack([self.sp(cols[:, j]) for j in range(cols.shape[1])], axis=1) \
-            if cols.shape[1] else np.empty_like(cols)
+                               self.s(np.nan_to_num(crit, nan=lo)))
 
     # -- entropy-flux averages -------------------------------------------------
 
@@ -276,29 +271,28 @@ class NumericalFlux:
             s = np.where(better, c_s, s)
         return w, s
 
-    def _variation(self, a, b, s_a, s_b):
-        """TV(s; [a^b, a v b]) per face, via the critical-point partition."""
+    def _partition(self, a, b):
+        """Per face, [a^b, critical points clipped to the interval and sorted,
+        a v b]: shape (F, C + 2)."""
         t = self.table
-        lo = np.minimum(a, b)
-        hi = np.maximum(a, b)
-        if t.crit.shape[1] == 0:
-            return np.abs(s_b - s_a)
-        clipped = np.clip(np.nan_to_num(t.crit, nan=t.box[0]), lo[:, None], hi[:, None])
-        clipped = np.sort(clipped, axis=1)
-        s_lo = np.where(a <= b, s_a, s_b)
-        s_hi = np.where(a <= b, s_b, s_a)
-        pts_s = np.concatenate([s_lo[:, None], self._clipped_s(clipped, lo, hi, s_lo, s_hi),
-                                s_hi[:, None]], axis=1)
-        return np.sum(np.abs(np.diff(pts_s, axis=1)), axis=1)
+        lo = np.minimum(a, b)[:, None]
+        hi = np.maximum(a, b)[:, None]
+        clipped = np.sort(np.clip(np.nan_to_num(t.crit, nan=t.box[0]), lo, hi), axis=1)
+        return np.concatenate([lo, clipped, hi], axis=1)
 
-    def _clipped_s(self, clipped, lo, hi, s_lo, s_hi):
-        """s at clipped partition points, reusing endpoint values when a point
-        collapses onto an interval end (keeps degenerate faces exact)."""
-        t = self.table
-        out = t._col_s(clipped)
-        out = np.where(clipped == lo[:, None], s_lo[:, None], out)
-        out = np.where(clipped == hi[:, None], s_hi[:, None], out)
-        return out
+    def _variation(self, a, b, s_a, s_b):
+        """TV(s; [a^b, a v b]) per face, via the critical-point partition.
+
+        A partition point that collapses onto an interval end reuses that
+        end's value (keeps degenerate faces exact)."""
+        pts = self._partition(a, b)
+        inner, lo, hi = pts[:, 1:-1], pts[:, :1], pts[:, -1:]
+        s_lo = np.where(a <= b, s_a, s_b)[:, None]
+        s_hi = np.where(a <= b, s_b, s_a)[:, None]
+        s_inner = np.where(inner == hi, s_hi,
+                           np.where(inner == lo, s_lo, self.table.s(inner)))
+        pts_s = np.concatenate([s_lo, s_inner, s_hi], axis=1)
+        return np.sum(np.abs(np.diff(pts_s, axis=1)), axis=1)
 
     def values(self, a, b, s_a=None, s_b=None):
         """Canonical numerical flux per face for left/right states (a, b)."""
@@ -355,15 +349,7 @@ class NumericalFlux:
     def _eo_weighted_integral(self, dU: Callable, a, b):
         """integral_a^b U'(w) min(s'(w), 0) dw per face, split at critical points."""
         t = self.table
-        lo = np.minimum(a, b)
-        hi = np.maximum(a, b)
-        n_crit = t.crit.shape[1]
-        if n_crit:
-            clipped = np.sort(np.clip(np.nan_to_num(t.crit, nan=t.box[0]),
-                                      lo[:, None], hi[:, None]), axis=1)
-            pts = np.concatenate([lo[:, None], clipped, hi[:, None]], axis=1)
-        else:
-            pts = np.stack([lo, hi], axis=1)
+        pts = self._partition(a, b)
         total = np.zeros(a.size)
         for seg in range(pts.shape[1] - 1):
             p, q = pts[:, seg], pts[:, seg + 1]

@@ -55,6 +55,20 @@ def test_tv_weights_dphi_closed_form(small_mesh):
             assert abs(weights[f]) <= 1e-14
 
 
+def test_tv_weights_match_per_node_loop(small_mesh):
+    # a varying field, evaluated node by node as the reference
+    X = VectorField(lambda y: np.array([np.cos(y[1]), 0.3 * np.sin(y[0])]))
+    mesh = small_mesh
+    comp = np.empty((2, mesh.n_faces, 3))
+    for f in range(mesh.n_faces):
+        for q in range(3):
+            comp[:, f, q] = X.at(np.array([mesh.face_q_phi[f, q], mesh.face_q_theta[f, q]]))
+    integrand = np.abs(np.sin(mesh.face_q_theta) ** 2 * comp[0] * mesh.face_n_phi
+                       + comp[1] * mesh.face_n_theta)
+    expected = np.sum(mesh.face_q_w * integrand, axis=-1)
+    np.testing.assert_array_equal(tv_face_weights(mesh, X), expected)
+
+
 def test_tv_single_jump(small_mesh):
     meridian = np.flatnonzero(small_mesh.face_kind == MERIDIAN)[0]
     raised = small_mesh.face_left[meridian]

@@ -83,7 +83,7 @@ def from_components(func):
     def f_u(u, phi, theta, _h=1e-5):
         return (f(np.asarray(u) + _h, phi, theta) - f(np.asarray(u) - _h, phi, theta)) / (2 * _h)
 
-    return FluxField(name="custom", f=f, f_u=f_u, lipschitz_bound=1.0)
+    return FluxField(name="custom", f=f, f_u=f_u)
 
 
 # ---------------------------------------------------------------------------
@@ -143,10 +143,23 @@ def test_f_u_matches_finite_difference(burgers_flux):
         assert np.abs(np.asarray(burgers_flux.f_u(u, p[0], p[1])) - fd).max() <= 1e-8
 
 
+def test_lipschitz_on_matches_per_longitude_loop(burgers_flux):
+    potential = make_flux("potential", {"a": "u*n3 + 0.3*u^2*n1"})
+    us = np.linspace(-0.43, 0.97, 33)[:, None]
+    thetas = np.linspace(1e-3, math.pi - 1e-3, 65)[None, :]
+    for f in (burgers_flux, potential):
+        best = 0.0
+        for p in np.linspace(0.0, 2 * math.pi, 17):
+            comp = f.f_u(us, p, thetas)
+            best = max(best, float(np.sqrt((np.sin(thetas) * comp[0]) ** 2
+                                           + comp[1] ** 2).max()))
+        assert f.lipschitz_on(-0.43, 0.97) == best
+
+
 def test_registry():
     f = make_flux("solid_rotation", {"omega": 2.0})
     assert np.asarray(f.f(0.5, 0.1, 1.0)).reshape(2)[0] == pytest.approx(1.0)
-    assert f.lipschitz_bound == pytest.approx(2.0)
+    assert f.lipschitz_on(-1.0, 1.0) == pytest.approx(2.0)
     with pytest.raises(ConfigError, match="solid_rotation, latitude_burgers, potential"):
         make_flux("no_such_flux")
     with pytest.raises(ConfigError):

@@ -6,6 +6,7 @@ import pytest
 
 from spherefv import (
     ConfigError,
+    ENGQUIST_OSHER,
     FLUX_KINDS,
     GODUNOV,
     LAX_FRIEDRICHS,
@@ -241,8 +242,15 @@ def test_intermediate_states_are_convex_combinations():
 # determinism
 # ---------------------------------------------------------------------------
 
-def test_threaded_step_bitwise_identical():
-    mesh, flux, nf, tau = _setup(GODUNOV, n_phi=12, n_theta=6)
+@pytest.mark.parametrize("kind, name, params", [
+    (GODUNOV, "latitude_burgers", {"c_expr": "sin(theta)"}),
+    (ENGQUIST_OSHER, "potential", {"a": "u*n3 + 0.3*u^2*n1"}),
+], ids=["burgers-godunov", "potential-eo"])
+def test_threaded_step_bitwise_identical(kind, name, params):
+    mesh = build_latlon(12, 6, 0.3)
+    flux = make_flux(name, params)
+    nf = make_numerical_flux(kind, mesh, flux, box=(-1.5, 1.5))
+    tau = cfl_timestep(mesh, flux, nf, (-1.5, 1.5), 0.5)
     state = _initial(mesh)
     s1, s8 = replace(state), replace(state)
     for _ in range(20):
@@ -262,6 +270,33 @@ def test_table_view_matches_full_evaluation():
     ids = np.sort(rng.choice(mesh.n_faces, 17, replace=False))
     sub = NumericalFlux(kind=nf.kind, table=nf.table.view(ids))
     assert np.array_equal(sub.values(a[ids], b[ids]), full[ids])
+
+
+def _bits(x):
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
+@pytest.mark.parametrize("name, params", [
+    ("solid_rotation", {"omega": -0.7}),
+    ("latitude_burgers", {"c_expr": "sin(theta)"}),
+    ("potential", {"a": "u*n3 + 0.3*u^2*n1"}),
+], ids=["rotation", "burgers", "potential"])
+def test_table_evaluates_columns_bitwise(name, params):
+    mesh = build_latlon(12, 6, 0.3)
+    t = FaceFluxTable(mesh, make_flux(name, params), (-1.5, 1.5))
+    cols = np.random.default_rng(49).uniform(-1.5, 1.5, (mesh.n_faces, 5))
+    for func in (t.s, t.sp):
+        whole = func(cols)
+        assert whole.shape == cols.shape
+        for j in range(cols.shape[1]):
+            np.testing.assert_array_equal(_bits(whole[:, j]), _bits(func(cols[:, j])))
+        np.testing.assert_array_equal(
+            _bits(func(cols.reshape(-1, 5, 1)).reshape(cols.shape)), _bits(whole))
+        np.testing.assert_array_equal(_bits(func(0.3)),
+                                      _bits(func(np.full(mesh.n_faces, 0.3))))
+        assert func(np.empty((mesh.n_faces, 0))).shape == (mesh.n_faces, 0)
+    if name == "solid_rotation":   # s' never vanishes: no critical points
+        assert t.crit.shape == t.crit_s.shape == (mesh.n_faces, 0)
 
 
 # ---------------------------------------------------------------------------
