@@ -6,6 +6,9 @@ parentheses, unary minus, ``sin``/``cos``, numeric literals, the constant
 flux potential, ``phi, theta, n1, n2, n3`` for initial data).
 
 Compiled expressions evaluate with numpy broadcasting over array inputs.
+:func:`differentiate` gives the exact partial derivative of a parsed
+expression as another expression tree, so a flux potential a(u, n) yields its
+a_u without a finite-difference stencil.
 """
 
 from __future__ import annotations
@@ -25,6 +28,9 @@ _TOKEN_RE = re.compile(
 )
 
 _FUNCTIONS = {"sin": np.sin, "cos": np.cos}
+# evaluable calls: the parser's functions plus ``log``, which only
+# :func:`differentiate` produces (for a power with a variable exponent)
+_CALLS = {**_FUNCTIONS, "log": np.log}
 
 
 def _tokenize(text: str) -> list[tuple[str, str]]:
@@ -136,7 +142,7 @@ def _evaluate(node, env: Mapping[str, np.ndarray]):
     if tag == "neg":
         return -_evaluate(node[1], env)
     if tag == "call":
-        return _FUNCTIONS[node[1]](_evaluate(node[2], env))
+        return _CALLS[node[1]](_evaluate(node[2], env))
     a = _evaluate(node[1], env)
     b = _evaluate(node[2], env)
     if tag == "add":
@@ -152,20 +158,156 @@ def _evaluate(node, env: Mapping[str, np.ndarray]):
     raise AssertionError(f"unknown node {tag}")
 
 
+# ---------------------------------------------------------------------------
+# exact derivatives
+# ---------------------------------------------------------------------------
+
+_ZERO = ("const", 0.0)
+_ONE = ("const", 1.0)
+
+
+def _is_const(node, value: float) -> bool:
+    return node[0] == "const" and node[1] == value
+
+
+def _depends(node, symbol: str) -> bool:
+    tag = node[0]
+    if tag == "const":
+        return False
+    if tag == "sym":
+        return node[1] == symbol
+    if tag == "neg":
+        return _depends(node[1], symbol)
+    if tag == "call":
+        return _depends(node[2], symbol)
+    return _depends(node[1], symbol) or _depends(node[2], symbol)
+
+
+# node constructors that fold the zeros, ones and constants a derivative
+# produces, so the derivative tree stays about the size of the original
+
+def _neg(a):
+    return ("const", -a[1]) if a[0] == "const" else ("neg", a)
+
+
+def _add(a, b):
+    if _is_const(a, 0.0):
+        return b
+    if _is_const(b, 0.0):
+        return a
+    if a[0] == b[0] == "const":
+        return ("const", a[1] + b[1])
+    return ("add", a, b)
+
+
+def _sub(a, b):
+    if _is_const(b, 0.0):
+        return a
+    if _is_const(a, 0.0):
+        return _neg(b)
+    if a[0] == b[0] == "const":
+        return ("const", a[1] - b[1])
+    return ("sub", a, b)
+
+
+def _mul(a, b):
+    if _is_const(a, 0.0) or _is_const(b, 0.0):
+        return _ZERO
+    if _is_const(a, 1.0):
+        return b
+    if _is_const(b, 1.0):
+        return a
+    if a[0] == b[0] == "const":
+        return ("const", a[1] * b[1])
+    return ("mul", a, b)
+
+
+def _div(a, b):
+    if _is_const(a, 0.0):
+        return _ZERO
+    if _is_const(b, 1.0):
+        return a
+    return ("div", a, b)
+
+
+def _pow(a, b):
+    if _is_const(b, 0.0):
+        return _ONE
+    if _is_const(b, 1.0):
+        return a
+    return ("pow", a, b)
+
+
+def differentiate(node, symbol: str):
+    """Exact partial derivative of a parsed expression with respect to
+    ``symbol``, as an expression tree.
+
+    A power a^b follows the power rule b a^(b-1) a' when b does not depend
+    on ``symbol``, and a^b (b' log a + b a'/a) otherwise."""
+    if not _depends(node, symbol):
+        return _ZERO
+    tag = node[0]
+    if tag == "sym":
+        return _ONE
+    if tag == "neg":
+        return _neg(differentiate(node[1], symbol))
+    if tag == "call":
+        name, arg = node[1], node[2]
+        if name == "sin":
+            outer = ("call", "cos", arg)
+        elif name == "cos":
+            outer = _neg(("call", "sin", arg))
+        else:   # log
+            outer = _div(_ONE, arg)
+        return _mul(outer, differentiate(arg, symbol))
+    a, b = node[1], node[2]
+    da, db = differentiate(a, symbol), differentiate(b, symbol)
+    if tag == "add":
+        return _add(da, db)
+    if tag == "sub":
+        return _sub(da, db)
+    if tag == "mul":
+        return _add(_mul(da, b), _mul(a, db))
+    if tag == "div":
+        if _is_const(db, 0.0):
+            return _div(da, b)
+        return _div(_sub(_mul(da, b), _mul(a, db)), _mul(b, b))
+    if tag == "pow":
+        if _is_const(db, 0.0):
+            return _mul(_mul(b, _pow(a, _sub(b, _ONE))), da)
+        return _mul(node, _add(_mul(db, ("call", "log", a)), _div(_mul(b, da), a)))
+    raise AssertionError(f"unknown node {tag}")
+
+
+# ---------------------------------------------------------------------------
+# compilation
+# ---------------------------------------------------------------------------
+
+def parse_expression(text: str, symbols: Iterable[str]):
+    """Parse ``text`` into an expression tree over the given symbols."""
+    return _Parser(_tokenize(text), frozenset(symbols), text).parse()
+
+
+def compile_node(node, symbols: Iterable[str], source: str) -> Callable[..., np.ndarray]:
+    """Compile an expression tree into ``f(**env)`` evaluating with numpy
+    broadcasting; ``source`` is kept as ``f.source``."""
+    symset = frozenset(symbols)
+
+    def func(**env):
+        missing = symset - env.keys()
+        if missing:
+            raise TypeError(f"missing symbols {sorted(missing)} for expression {source!r}")
+        return _evaluate(node, env)
+
+    func.source = source  # type: ignore[attr-defined]
+    return func
+
+
 def compile_expression(text: str, symbols: Iterable[str]) -> Callable[..., np.ndarray]:
     """Compile ``text`` into ``f(**env)`` evaluating with numpy broadcasting.
 
     ``symbols`` is the full set of names the expression may reference; every
     call must supply all of them as keyword arguments.
     """
-    symset = frozenset(symbols)
-    node = _Parser(_tokenize(text), symset, text).parse()
-
-    def func(**env):
-        missing = symset - env.keys()
-        if missing:
-            raise TypeError(f"missing symbols {sorted(missing)} for expression {text!r}")
-        return _evaluate(node, env)
-
-    func.source = text  # type: ignore[attr-defined]
-    return func
+    symbols = frozenset(symbols)
+    return compile_node(parse_expression(text, symbols), symbols, text)

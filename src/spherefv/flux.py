@@ -22,7 +22,7 @@ from scipy.integrate import quad_vec
 
 from . import geometry
 from .errors import ConfigError, DegenerateSampleError, InputError
-from .expressions import compile_expression
+from .expressions import compile_expression, compile_node, differentiate, parse_expression
 
 _FD_STEP = 1e-3
 
@@ -43,7 +43,8 @@ class FluxField:
 
     ``f`` and ``f_u`` take ``(u, phi, theta)`` with numpy broadcasting and
     return shape ``(2,) + broadcast``.  ``potential`` holds the scalar
-    a(u, n) when the flux was built from one.  A separable flux
+    a(u, n1, n2, n3) when the flux was built from one, and ``potential_u``
+    its derivative a_u in u (both vectorized; set together).  A separable flux
     f(u, x) = g(u) X(x) (see :func:`separable`) also carries ``g``, its
     derivative ``g_u`` (both elementwise in u) and the field
     ``X(phi, theta)`` of shape ``(2,) + broadcast``.
@@ -53,6 +54,7 @@ class FluxField:
     f: Callable
     f_u: Callable
     potential: Optional[Callable] = None
+    potential_u: Optional[Callable] = None
     g: Optional[Callable] = None
     g_u: Optional[Callable] = None
     X: Optional[Callable] = None
@@ -135,11 +137,17 @@ def _tangential_gradient(a: Callable, u, n, step: float):
     return grad - np.sum(grad * n, axis=0) * n
 
 
-def from_potential(a: Callable, name: str = "potential", step: float = _FD_STEP) -> FluxField:
+def from_potential(a: Callable, name: str = "potential", step: float = _FD_STEP,
+                   a_u: Optional[Callable] = None) -> FluxField:
     """Flux f = n x Phi with Phi the tangential gradient of a(u, n).
 
     ``a(u, n1, n2, n3)`` must be smooth near the unit sphere and vectorized.
-    Such fluxes are automatically divergence-free at every frozen state."""
+    Such fluxes are automatically divergence-free at every frozen state.
+    ``a_u``, with the same signature, is the derivative of ``a`` in u; without
+    it a finite-difference stencil in u stands in."""
+    if a_u is None:
+        def a_u(u, n1, n2, n3):
+            return _stencil(lambda d: a(u + d, n1, n2, n3))
 
     def f(u, phi, theta):
         n, n_phi, n_theta = _sphere_normals(phi, theta)
@@ -148,7 +156,7 @@ def from_potential(a: Callable, name: str = "potential", step: float = _FD_STEP)
     def f_u(u, phi, theta):
         return _stencil(lambda d: f(u + d, phi, theta))
 
-    return FluxField(name=name, f=f, f_u=f_u, potential=a)
+    return FluxField(name=name, f=f, f_u=f_u, potential=a, potential_u=a_u)
 
 
 def tangential_potential_gradient(a: Callable, u, phi, theta, step: float = _FD_STEP):
@@ -363,9 +371,13 @@ def make_flux(name: str, params: Optional[dict] = None) -> FluxField:
         a_expr = str(params.pop("a"))
         if params:
             raise ConfigError(f"unknown potential parameters: {sorted(params)}")
-        a_func = compile_expression(a_expr, ["u", "n1", "n2", "n3"])
+        symbols = ["u", "n1", "n2", "n3"]
+        a_func = compile_expression(a_expr, symbols)
+        a_u_func = compile_node(differentiate(parse_expression(a_expr, symbols), "u"),
+                                symbols, f"d/du[{a_expr}]")
         return from_potential(lambda u, n1, n2, n3: a_func(u=u, n1=n1, n2=n2, n3=n3),
-                              name=f"potential[{a_expr}]")
+                              name=f"potential[{a_expr}]",
+                              a_u=lambda u, n1, n2, n3: a_u_func(u=u, n1=n1, n2=n2, n3=n3))
 
     raise ConfigError(
         f"unknown flux {name!r}; registry: solid_rotation, latitude_burgers, potential")

@@ -14,16 +14,30 @@ box, which makes consistency exact and monotonicity hold to rounding:
 - Lax-Friedrichs uses a per-face dissipation ``lambda_e = 1.01 sup |s_e'|``,
   so faces the flux never crosses stay exactly inert.
 
-Separable fluxes f(u, x) = g(u) X(x) -- the registry's ``solid_rotation``
-(g = u) and ``latitude_burgers`` (g = u^2/2) -- take a fast path.  Their
-restriction is s_e(u) = g(u) c_e with c_e = (1/|e|) int_e g(X, n_e) dv_e,
-computed once per face by the same 3-node face quadrature that averages f
-on the generic path, so the two paths differ only by rounding.  Then
-s_e' = g_u c_e, the critical points are the roots of g_u (found once, shared
-by all faces), sup |s_e'| = |c_e| max |g_u|, and the entropy-flux average is
-c_e times a scalar integral of U' g_u.  No step evaluates f on the face
-nodes, and the table needs O(faces) memory.  Every other flux is averaged
-node by node, its critical points scanned per face.
+The restriction s_e is formed in one of three ways, chosen by what the flux
+carries:
+
+- *separable.*  For f(u, x) = g(u) X(x) -- the registry's ``solid_rotation``
+  (g = u) and ``latitude_burgers`` (g = u^2/2) -- s_e(u) = g(u) c_e with
+  c_e = (1/|e|) int_e g(X, n_e) dv_e, computed once per face by the
+  node-average quadrature below.  Then s_e' = g_u c_e, the critical points
+  are the roots of g_u (found once, shared by all faces), sup |s_e'| =
+  |c_e| max |g_u|, and the entropy-flux average is c_e times a scalar
+  integral of U' g_u.  No step evaluates f, and the table needs O(faces)
+  memory.
+- *vertex potential.*  For f = n x grad a, given by a potential a(u, n), the
+  flux through a face is the tangential derivative of a along it, so
+  s_e(u) = [a(u, end) - a(u, start)] / |e| exactly, with the face's ends
+  in the mesh's ``face_vertices`` order, and s_e' is the same difference of
+  the exact a_u.  Every frozen constant state then has zero discrete
+  divergence up to rounding (the geometry-compatible discretization of
+  Ben-Artzi, Falcovitz and LeFloch, J. Comput. Phys. 228, 2009).  The
+  critical points are scanned per face, two potential evaluations per scan
+  point.
+- *node average.*  Any other flux is averaged over the face's 3
+  Gauss-Legendre nodes, with f_u for s_e', its critical points scanned per
+  face.  The separable path differs from it only by rounding, the vertex
+  path by the quadrature error.
 
 Face-table evaluations follow one shape rule: a scalar state is taken at
 every face; an array state has the faces on its first axis and is viewed as
@@ -73,11 +87,14 @@ class FaceFluxTable:
     """Per-face normal-flux averages s_e(u), derivatives, critical points.
 
     ``box`` is the state interval over which critical points and wave speeds
-    are tracked; it can be rebuilt (expanded) on demand.  For a separable
-    flux ``c`` holds the per-face constants c_e of s_e = g c_e (module
-    docstring); otherwise it is None.  ``s`` and ``sp`` take a scalar (every
-    face) or an array of shape (F, ...), evaluated as g(u) c_e or, viewed as
-    (F, C), at the (F, C, Q) face nodes; they return the shape of ``u``.
+    are tracked; it can be rebuilt (expanded) on demand.  s_e is formed in
+    one of the three ways of the module docstring.  For a separable flux
+    ``c`` holds the per-face constants c_e of s_e = g c_e, for a potential
+    flux ``ends`` holds the unit vectors (n1, n2, n3) of each face's start
+    and end, shape (3, 2, F); each is None otherwise.  ``s`` and ``sp`` take
+    a scalar (every face) or an array of shape (F, ...), evaluated as
+    g(u) c_e or, viewed as (F, C), at the (2, F, C) face ends or the
+    (F, C, Q) face nodes; they return the shape of ``u``.
     """
 
     def __init__(self, mesh: SphereMesh, flux: FluxField, box, n_scan: int = 129):
@@ -94,6 +111,8 @@ class FaceFluxTable:
         self.n_faces = self.measure.size
         self.c = (None if flux.g is None else self._average(np.asarray(
             flux.X(self.q_phi[:, None, :], self.q_theta[:, None, :])))[:, 0])
+        self.ends = (None if self.c is not None or flux.potential is None
+                     else np.ascontiguousarray(mesh.vertex_xyz[mesh.face_vertices].T))
         self.rebuild(box)
 
     def view(self, index) -> "FaceFluxTable":
@@ -110,6 +129,7 @@ class FaceFluxTable:
                      "_st2", "crit", "crit_s", "speed", "lam"):
             setattr(v, name, getattr(self, name)[index])
         v.c = None if self.c is None else self.c[index]
+        v.ends = None if self.ends is None else self.ends[:, :, index]
         v.n_faces = v.measure.shape[0]
         v.box = self.box
         return v
@@ -122,32 +142,41 @@ class FaceFluxTable:
                      + comp[1] * self.n_theta[:, None])
         return np.sum(self.q_w[:, None] * integrand, axis=-1) / self.measure[:, None]
 
-    def _eval(self, func, u):
-        """Evaluate a flux-like callable and face-average it.
+    def _eval(self, u, derivative: bool):
+        """s (or s' with ``derivative``) at the states ``u``.
 
         A scalar ``u`` is taken at every face; otherwise the first axis of
-        ``u`` runs over the faces.  For a separable flux ``func`` is the
-        scalar factor (g or g_u), scaled by c_e broadcast over the trailing
-        axes; otherwise ``u`` is viewed as (F, C) and ``func`` is evaluated at
-        the (F, C, Q) face nodes.  The result has the shape of ``u`` (of (F,)
-        for a scalar)."""
+        ``u`` runs over the faces.  For a separable flux g (g_u) is
+        evaluated at ``u`` and scaled by c_e broadcast over the trailing
+        axes; otherwise ``u`` is viewed as (F, C) and the potential a (a_u)
+        is differenced between the (2, F, C) face ends, or f (f_u) averaged
+        over the (F, C, Q) face nodes.  The result has the shape of ``u``
+        (of (F,) for a scalar)."""
+        flux = self.flux
         u = np.asarray(u, dtype=float)
         if u.ndim == 0:
             u = np.full(self.n_faces, float(u))
         if self.c is not None:
-            return func(u) * self.c.reshape(self.c.shape + (1,) * (u.ndim - 1))
+            g = flux.g_u if derivative else flux.g
+            return g(u) * self.c.reshape(self.c.shape + (1,) * (u.ndim - 1))
         cols = u.reshape(u.shape[0], math.prod(u.shape[1:]))
-        comp = np.asarray(func(cols[:, :, None], self.q_phi[:, None, :],
-                               self.q_theta[:, None, :]))
+        if self.ends is not None:
+            a = flux.potential_u if derivative else flux.potential
+            n1, n2, n3 = self.ends[..., None]
+            v = np.broadcast_to(a(cols, n1, n2, n3), (2,) + cols.shape)
+            return ((v[1] - v[0]) / self.measure[:, None]).reshape(u.shape)
+        f = flux.f_u if derivative else flux.f
+        comp = np.asarray(f(cols[:, :, None], self.q_phi[:, None, :],
+                            self.q_theta[:, None, :]))
         return self._average(comp).reshape(u.shape)
 
     def s(self, u):
         """Canonical face-averaged normal flux at state(s) u."""
-        return self._eval(self.flux.f if self.c is None else self.flux.g, u)
+        return self._eval(u, derivative=False)
 
     def sp(self, u):
         """Derivative s_e'(u) (face average of g(f_u, n))."""
-        return self._eval(self.flux.f_u if self.c is None else self.flux.g_u, u)
+        return self._eval(u, derivative=True)
 
     # -- state box / critical points ------------------------------------------
 

@@ -25,6 +25,15 @@ the south cap the one after it.  Face ids run, in order:
 - the north rim on theta_0 = theta_min, then the south rim on
   theta_{n_theta} = pi - theta_min, n_phi faces each in increasing phi.
 
+The mesh vertices are the n_phi (n_theta + 1) points where the meridians
+phi_i meet the circles theta_k; ``vertex_xyz`` holds them as unit vectors,
+vertex (i, k) at index k n_phi + i.  Every face is a great- or small-circle
+arc between two of them, and ``face_vertices`` lists its start and end in the
+order of the face tangent t = nu x n, with nu the canonical normal and n the
+outward sphere normal: a meridian face runs from theta_j to theta_{j+1}, a
+latitude or rim face from phi_{i+1} to phi_i.  The flux of f = n x grad a
+through a face is then a(end) - a(start) exactly.
+
 The cell-face incidence is stored unpadded as S = 4 n_phi n_theta + 2 n_phi
 flat slots, one per (cell, face) pair: the band cells' slots come first, four
 per cell in the fixed order [W, E, N, S], then the north and the south cap,
@@ -87,6 +96,8 @@ class SphereMesh:
     face_n_phi: np.ndarray      # (F, 3) canonical normal phi-component (contravariant)
     face_n_theta: np.ndarray    # (F, 3) canonical normal theta-component
     face_kind: np.ndarray       # (F,) meridian | latitude | cap-rim
+    face_vertices: np.ndarray   # (F, 2) start and end vertex along t = nu x n
+    vertex_xyz: np.ndarray      # (n_phi (n_theta + 1), 3) unit vectors
     # packed cell arrays (N cells)
     cell_area: np.ndarray
     cell_perimeter: np.ndarray  # p_K = sum of |e| over the cell's faces
@@ -158,6 +169,18 @@ def build_latlon(n_phi: int, n_theta: int, theta_min: float) -> SphereMesh:
     cir_q_phi = 0.5 * (phis[:-1] + phis[1:])[:, None] + 0.5 * dphi * _GL_NODES
     cir_q_w = (0.5 * dphi * sin_k[order])[:, None] * _GL_WEIGHTS
 
+    # vertices: sin and cos once per circle and per meridian, then their
+    # products; vertex (i, k) has index k n_phi + i
+    vertex = np.arange(n_phi * (n_theta + 1)).reshape(n_theta + 1, n_phi)
+    east = np.roll(vertex, -1, axis=1)                  # vertex (i+1, k)
+    vtheta, vphi = thetas[:, None], phis[:-1]
+    vertex_xyz = np.stack([np.sin(vtheta) * np.cos(vphi), np.sin(vtheta) * np.sin(vphi),
+                           np.cos(vtheta) + 0.0 * vphi], axis=-1).reshape(-1, 3)
+    # face ends along t = nu x n: meridians theta_j -> theta_{j+1}, the
+    # circles in face-id order phi_{i+1} -> phi_i
+    face_vertices = np.concatenate([np.stack([east[:-1], east[1:]], axis=-1).reshape(-1, 2),
+                                    np.stack([east[order], vertex[order]], axis=-1).reshape(-1, 2)])
+
     # cells: perimeters by math.fsum over the faces, once per row and cap
     band_perimeter = [math.fsum((dtheta, dtheta, circle_measure[j], circle_measure[j + 1]))
                       for j in range(n_theta)]
@@ -194,6 +217,8 @@ def build_latlon(n_phi: int, n_theta: int, theta_min: float) -> SphereMesh:
         face_n_theta=np.concatenate([np.zeros((n_band, 3)), np.ones((n_circle, 3))]),
         face_kind=np.repeat([MERIDIAN, LATITUDE, CAP_RIM],
                             [n_band, n_band - n_phi, 2 * n_phi]),
+        face_vertices=face_vertices,
+        vertex_xyz=vertex_xyz,
         cell_area=np.r_[np.repeat(dphi * (cos_k[:-1] - cos_k[1:]), n_phi),
                         cap_area, cap_area],
         cell_perimeter=np.r_[np.repeat(band_perimeter, n_phi), cap_perimeter],
@@ -307,16 +332,12 @@ def _cell_polygon(mesh: SphereMesh, cell: int):
 def export_vtk(mesh: SphereMesh, path: str, fields: Optional[dict] = None) -> None:
     """Legacy ASCII VTK UNSTRUCTURED_GRID of the cell polygons with cell data.
 
-    The points are the n_phi (n_theta + 1) mesh vertices, vertex (i, k) at
-    (phi_i, theta_k) having index k n_phi + i.  Band cell (i, j) references
-    (i, j), (i+1, j), (i+1, j+1), (i, j+1) (i+1 taken mod n_phi), and each
-    cap its rim circle in increasing phi."""
+    The points are the mesh vertices ``mesh.vertex_xyz``.  Band cell (i, j)
+    references vertices (i, j), (i+1, j), (i+1, j+1), (i, j+1) (i+1 taken
+    mod n_phi), and each cap its rim circle in increasing phi."""
     fields = fields or {}
     n_phi, n_theta = mesh.n_phi, mesh.n_theta
-    phi = np.arange(n_phi) * (2.0 * math.pi / n_phi)
-    theta = np.linspace(mesh.theta_min, math.pi - mesh.theta_min, n_theta + 1)[:, None]
-    points = np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi),
-                       np.cos(theta) + 0.0 * phi], axis=-1).reshape(-1, 3)
+    points = mesh.vertex_xyz
     vertex = np.arange(points.shape[0]).reshape(n_theta + 1, n_phi)
     east = np.roll(vertex, -1, axis=1)
     band = np.stack([vertex[:-1], east[:-1], east[1:], vertex[1:]], axis=-1)

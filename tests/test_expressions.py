@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
 
-from spherefv import ConfigError, compile_expression
+from spherefv import ConfigError, compile_expression, make_flux
+from spherefv.expressions import compile_node, differentiate, parse_expression
+from spherefv.flux import _stencil
 
 
 def test_arithmetic_and_functions():
@@ -44,3 +48,89 @@ def test_unknown_symbol_rejected():
 def test_source_attribute():
     f = compile_expression("u*2", ["u"])
     assert f.source == "u*2"
+
+
+# ---------------------------------------------------------------------------
+# exact derivatives, against sympy as the oracle
+# ---------------------------------------------------------------------------
+
+SYMBOLS = ("u", "n1", "n2")
+_SYMPY_SYMBOLS = {name: sympy.Symbol(name) for name in SYMBOLS}
+_SYMPY_CALLS = {"sin": sympy.sin, "cos": sympy.cos, "log": sympy.log}
+_SYMPY_OPS = {"add": lambda a, b: a + b, "sub": lambda a, b: a - b,
+              "mul": lambda a, b: a * b, "div": lambda a, b: a / b,
+              "pow": lambda a, b: a ** b}
+
+
+def _to_sympy(node):
+    tag = node[0]
+    if tag == "const":
+        return sympy.Rational(node[1])        # the float's exact value
+    if tag == "sym":
+        return _SYMPY_SYMBOLS[node[1]]
+    if tag == "neg":
+        return -_to_sympy(node[1])
+    if tag == "call":
+        return _SYMPY_CALLS[node[1]](_to_sympy(node[2]))
+    return _SYMPY_OPS[tag](_to_sympy(node[1]), _to_sympy(node[2]))
+
+
+def _extend(sub):
+    # every node tag of the grammar; quotients and variable exponents get
+    # bases bounded away from zero, so the derivatives stay well-conditioned
+    return st.one_of(
+        sub.map(lambda x: f"-({x})"),
+        st.tuples(st.sampled_from(["sin", "cos"]), sub).map(lambda t: f"{t[0]}({t[1]})"),
+        st.tuples(sub, st.sampled_from("+-*"), sub).map(lambda t: f"({t[0]}){t[1]}({t[2]})"),
+        st.tuples(sub, sub).map(lambda t: f"({t[0]})/(2 + cos({t[1]}))"),
+        st.tuples(sub, st.integers(0, 3)).map(lambda t: f"({t[0]})^{t[1]}"),
+        st.tuples(sub, sub).map(lambda t: f"(2 + sin({t[0]}))^(sin({t[1]}))"),
+    )
+
+
+EXPRESSIONS = st.recursive(
+    st.one_of(st.sampled_from(SYMBOLS + ("pi",)),
+              st.integers(1, 30).map(lambda k: repr(k / 10))),
+    _extend, max_leaves=8)
+POINTS = st.tuples(*[st.floats(-1.5, 1.5) for _ in SYMBOLS])
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=EXPRESSIONS, symbol=st.sampled_from(SYMBOLS), point=POINTS)
+def test_differentiate_matches_sympy(text, symbol, point):
+    node = parse_expression(text, SYMBOLS)
+    derivative = compile_node(differentiate(node, symbol), SYMBOLS, text)
+    env = dict(zip(SYMBOLS, point))
+    got = float(np.broadcast_to(derivative(**env), ()))
+    exact = sympy.diff(_to_sympy(node), _SYMPY_SYMBOLS[symbol])
+    want = float(exact.evalf(30, subs={_SYMPY_SYMBOLS[k]: sympy.Rational(v)
+                                       for k, v in env.items()}))
+    assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+def test_differentiate_variable_exponent_uses_internal_log():
+    node = parse_expression("2^u*u^n1", ["u", "n1"])
+    d = differentiate(node, "u")
+    u, n1 = 1.3, 0.7
+    expected = 2 ** u * math.log(2) * u ** n1 + 2 ** u * n1 * u ** (n1 - 1)
+    assert compile_node(d, ["u", "n1"], "")(u=u, n1=n1) == pytest.approx(expected, rel=1e-14)
+    # the derivative's own log terms differentiate too
+    d2 = compile_node(differentiate(d, "u"), ["u", "n1"], "")(u=u, n1=n1)
+    exact = sympy.diff(_to_sympy(node), _SYMPY_SYMBOLS["u"], 2)
+    want = float(exact.evalf(30, subs={_SYMPY_SYMBOLS["u"]: sympy.Rational(u),
+                                       _SYMPY_SYMBOLS["n1"]: sympy.Rational(n1)}))
+    assert d2 == pytest.approx(want, rel=1e-13)
+    with pytest.raises(ConfigError):     # the parser does not know log
+        compile_expression("log(u)", ["u"])
+
+
+@pytest.mark.parametrize("a", ["u*n3 + 0.3*u^2*n1", "0.5*u^2*n3 + u*n1*n2",
+                               "0.5*u^2*n3 + u*n1*n2 + sin(3*u)*n1^2*n2"])
+def test_potential_u_matches_finite_difference(a):
+    flux = make_flux("potential", {"a": a})
+    rng = np.random.default_rng(50)
+    n = rng.normal(size=(3, 200))
+    n /= np.linalg.norm(n, axis=0)
+    u = rng.uniform(-1.5, 1.5, 200)
+    fd = _stencil(lambda d: flux.potential(u + d, *n))
+    assert np.abs(flux.potential_u(u, *n) - fd).max() <= 1e-8

@@ -385,3 +385,74 @@ def test_separable_step_never_evaluates_f():
         _, decomp = step(state, blind, nf)
         for spec in (square_spec(), kruzkov_spec(0.0)):
             entropy_report(nf, decomp, spec)
+
+
+# ---------------------------------------------------------------------------
+# vertex-potential path
+# ---------------------------------------------------------------------------
+
+POTENTIALS = ["u*n3 + 0.3*u^2*n1", "0.5*u^2*n3 + u*n1*n2",
+              "0.5*u^2*n3 + u*n1*n2 + sin(3*u)*n1^2*n2"]
+
+
+@pytest.mark.parametrize("n_phi, n_theta", [(12, 6), (47, 24)])
+@pytest.mark.parametrize("a", POTENTIALS)
+def test_potential_constant_state_preserved(a, n_phi, n_theta):
+    mesh = build_latlon(n_phi, n_theta, 0.3)
+    flux = make_flux("potential", {"a": a})
+    box = (-1.5, 1.5)
+    fid = mesh.cell_faces
+    for kind in FLUX_KINDS:
+        nf = make_numerical_flux(kind, mesh, flux, box=box)
+        assert nf.table.ends is not None
+        # the frozen-state divergence sum_e +-|e| s_e vanishes per cell
+        s = nf.table.s(0.75)
+        div = mesh.cell_sum(mesh.cell_signs * mesh.face_measure[fid] * s[fid])
+        assert np.abs(div).max() <= 1e-15
+        state = init_state(mesh, lambda phi, theta: 0.75 + 0.0 * phi)
+        state.tau = cfl_timestep(mesh, flux, nf, box, 0.5)
+        new, _ = step(state, flux, nf)
+        assert np.abs(new.u - 0.75).max() <= 1e-14
+
+
+# The node-average oracle carries the 3-node quadrature error, O(|e|^6):
+# 1.2e-5 at 12x6 for the sin(3u) potential.  Its scan is slow where s'
+# vanishes identically (e.g. 49 s at 47x24 for the first potential, whose
+# inert faces collect 76 rounding-noise critical points), hence 24x12.
+@pytest.mark.parametrize("n_phi, n_theta, tol", [(12, 6, 1e-4), (24, 12, 1e-6)])
+@pytest.mark.parametrize("a", POTENTIALS)
+def test_vertex_path_matches_node_average(a, n_phi, n_theta, tol):
+    box = (-1.5, 1.5)
+    mesh = build_latlon(n_phi, n_theta, 0.3)
+    flux = make_flux("potential", {"a": a})
+    fast = FaceFluxTable(mesh, flux, box)
+    slow = FaceFluxTable(mesh, replace(flux, potential=None, potential_u=None), box)
+    assert fast.ends is not None and slow.ends is None
+    u = np.random.default_rng(51).uniform(box[0], box[1], mesh.n_faces)
+    for table_u in [u, np.column_stack([u, -u])]:
+        assert np.abs(fast.s(table_u) - slow.s(table_u)).max() <= tol
+        assert np.abs(fast.sp(table_u) - slow.sp(table_u)).max() <= tol
+    assert np.abs(fast.speed - slow.speed).max() <= tol
+    # faces where s' vanishes identically carry rounding-noise critical
+    # points on either path; every other face has the same ones
+    live = slow.speed > 1e-8
+    count = (~np.isnan(fast.crit)).sum(axis=1)
+    assert np.array_equal(count[live], (~np.isnan(slow.crit)).sum(axis=1)[live])
+    width = count[live].max(initial=0)
+    crit_f, crit_s = fast.crit[live, :width], slow.crit[live, :width]
+    found = ~np.isnan(crit_s)
+    assert np.abs(crit_f[found] - crit_s[found]).max(initial=0.0) <= tol
+
+
+@pytest.mark.parametrize("kind", FLUX_KINDS)
+def test_single_face_potential_flux_matches_full_row(kind):
+    mesh = build_latlon(12, 6, 0.3)
+    flux = make_flux("potential", {"a": POTENTIALS[2]})
+    nf = make_numerical_flux(kind, mesh, flux, box=(-1.5, 1.5))
+    rng = np.random.default_rng(52)
+    a = rng.uniform(-1.5, 1.5, mesh.n_faces)
+    b = rng.uniform(-1.5, 1.5, mesh.n_faces)
+    full = nf.values(a, b)
+    for fid in rng.choice(mesh.n_faces, 25, replace=False):
+        one = numerical_flux(nf, fid, mesh.face_left[fid], a[fid], b[fid])
+        np.testing.assert_array_equal(_bits(np.array([one])), _bits(full[fid:fid + 1]))

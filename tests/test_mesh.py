@@ -78,6 +78,33 @@ def test_face_pairing_and_orientation(small_mesh):
     assert np.abs(m.cell_sum(m.face_measure[fid]) - m.cell_perimeter).max() <= 1e-14
 
 
+@pytest.mark.parametrize("n_phi, n_theta", [(3, 2), (8, 4), (13, 7)])
+def test_face_vertices_are_the_face_ends_along_the_tangent(n_phi, n_theta):
+    m = build_latlon(n_phi, n_theta, 0.3)
+    assert m.face_vertices.shape == (m.n_faces, 2)
+    assert m.vertex_xyz.shape == (n_phi * (n_theta + 1), 3)
+    assert np.abs(np.linalg.norm(m.vertex_xyz, axis=1) - 1.0).max() <= 1e-15
+    start, end = m.vertex_xyz[m.face_vertices].transpose(1, 2, 0)
+    # the middle quadrature node lies halfway between the ends, in phi and theta
+    half_dphi, half_dtheta = math.pi / n_phi, 0.5 * (math.pi - 0.6) / n_theta
+    ph, th = m.face_q_phi[:, 1], m.face_q_theta[:, 1]
+    meridian = m.face_kind == MERIDIAN
+    for v in (start, end):
+        phi_gap = np.abs((np.arctan2(v[1], v[0]) - ph + math.pi) % (2 * math.pi) - math.pi)
+        theta_gap = np.abs(np.arccos(v[2]) - th)
+        assert np.abs(phi_gap - np.where(meridian, 0.0, half_dphi)).max() <= 1e-12
+        assert np.abs(theta_gap - np.where(meridian, half_dtheta, 0.0)).max() <= 1e-12
+    # start -> end runs along t = nu x n, nu the canonical normal at the node
+    n = np.stack([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)])
+    d_phi = np.stack([-np.sin(th) * np.sin(ph), np.sin(th) * np.cos(ph), 0 * th])
+    d_theta = np.stack([np.cos(th) * np.cos(ph), np.cos(th) * np.sin(ph), -np.sin(th)])
+    nu = m.face_n_phi[:, 1] * d_phi + m.face_n_theta[:, 1] * d_theta
+    t = np.cross(nu, n, axis=0)
+    chord = end - start
+    cos_angle = np.sum(chord * t, axis=0) / np.linalg.norm(chord, axis=0)
+    assert cos_angle.min() >= 1.0 - 1e-12
+
+
 def test_face_average_examples(small_mesh):
     flux = make_flux("solid_rotation")
     zero = make_flux("solid_rotation", {"omega": 0.0})
