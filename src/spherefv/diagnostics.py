@@ -153,42 +153,41 @@ class EntropyStepRecord:
 
 
 def entropy_report(nf: NumericalFlux, decomp: ConvexDecomposition,
-                   spec: EntropySpec) -> EntropyStepRecord:
+                   spec: EntropySpec, alpha: Optional[float] = None) -> EntropyStepRecord:
     """Evaluate the discrete entropy inequalities for one step and entropy,
-    per (cell, face) slot of the mesh."""
+    per (cell, face) slot of the mesh.
+
+    ``alpha`` is the modulus of convexity of U over the table's state box;
+    it is computed by ``spec.convexity_modulus`` when not given."""
     mesh = decomp.mesh
-    fid, sign, cell = mesh.cell_faces, mesh.cell_signs, mesh.slot_cell
-    a, b = decomp.u_left, decomp.u_right
+    fid, cell = mesh.cell_faces, mesh.slot_cell
+    outward = mesh.cell_signs > 0
 
     if spec.kind == "kruzkov":
-        G = nf.kruzkov_values(spec.k, a, b)
-        G_cons_l = nf.kruzkov_consistent(spec.k, a, decomp.s_left)
-        G_cons_r = nf.kruzkov_consistent(spec.k, b, decomp.s_right)
+        G, G_left, G_right = nf.kruzkov_fluxes(spec.k, decomp)
     else:
-        G = nf.smooth_values(spec.U, spec.dU, a, b)
-        G_cons_l = nf.smooth_consistent(spec.dU, a)
-        G_cons_r = nf.smooth_consistent(spec.dU, b)
+        G, G_left, G_right = nf.smooth_fluxes(spec.U, spec.dU, decomp)
 
     # F_{e,K}(u_K, u_Ke) - F_{e,K}(u_K, u_K) per slot
-    Gdiff = np.where(sign > 0, G[fid] - G_cons_l[fid], -G[fid] + G_cons_r[fid])
-    U_old = spec.u_values(decomp.u_old)[cell]
-    mu = decomp.mu[cell]
+    mu_Gdiff = decomp.mu[cell] * np.where(outward, (G - G_left)[fid], (G_right - G)[fid])
+    U_cells = spec.u_values(decomp.u_old)
+    U_old = U_cells[cell]
     U_tilde = spec.u_values(decomp.utilde)
     U_ke = spec.u_values(decomp.u_ke)
-    pc10 = U_tilde - U_old + mu * Gdiff
+    pc10 = U_tilde - U_old + mu_Gdiff
     R = U_ke - U_tilde
-    pc11 = U_ke - U_old + mu * Gdiff - R
+    pc11 = U_ke - U_old + mu_Gdiff - R
 
     # dissipation estimate with the modulus of convexity
-    measure = mesh.face_measure[fid]
-    wKe = measure * mesh.cell_area[cell] / mesh.cell_perimeter[cell]
+    wKe = mesh.slot_weight
     u_new = decomp.u_new
     diss = np.sum(wKe * (decomp.u_ke - u_new[cell]) ** 2)
-    alpha = spec.convexity_modulus(nf.table.box)
-    mass_old = float(np.sum(spec.u_values(decomp.u_old) * mesh.cell_area))
+    if alpha is None:
+        alpha = spec.convexity_modulus(nf.table.box)
+    mass_old = float(np.sum(U_cells * mesh.cell_area))
     mass_new = float(np.sum(spec.u_values(u_new) * mesh.cell_area))
-    own_F = np.where(sign > 0, G_cons_l[fid], -G_cons_r[fid])
-    flux_term = float(np.sum(decomp.tau * measure * own_F))
+    own_G = np.where(outward, G_left[fid], G_right[fid])
+    flux_term = float(np.sum(decomp.tau * mesh.slot_measure * own_G))
     r_term = float(np.sum(wKe * R))
     lhs = mass_new + 0.5 * alpha * float(diss)
     rhs = mass_old + flux_term + r_term
@@ -246,7 +245,8 @@ class Monitor:
     """Solver hook that accumulates DiagnosticsRecords.
 
     ``tv_fields`` maps names to precomputed face weight arrays (see
-    :func:`tv_face_weights`); ``entropies`` is a list of EntropySpec.
+    :func:`tv_face_weights`); ``entropies`` is a list of EntropySpec.  The
+    modulus of convexity of each entropy is computed once per state box.
     """
 
     def __init__(self, mesh: SphereMesh, nf: Optional[NumericalFlux] = None,
@@ -260,6 +260,7 @@ class Monitor:
         self.reference = reference
         self.records: list = []
         self.pc15_cumulative = 0.0
+        self._alpha: dict = {}         # (spec, state box) -> alpha
 
     def record_initial(self, state: SolverState) -> None:
         self.records.append(self._base_record(state, dissipation=0.0, worst_pc10=0.0))
@@ -268,7 +269,10 @@ class Monitor:
         dissipation = 0.0
         worst = -math.inf
         for spec in self.entropies:
-            rec = entropy_report(self.nf, decomp, spec)
+            key = (spec, self.nf.table.box)
+            if key not in self._alpha:
+                self._alpha[key] = spec.convexity_modulus(key[1])
+            rec = entropy_report(self.nf, decomp, spec, alpha=self._alpha[key])
             worst = max(worst, rec.worst_pc10)
             if spec.kind == "smooth":
                 dissipation = rec.dissipation_increment

@@ -22,9 +22,9 @@ carries:
   c_e = (1/|e|) int_e g(X, n_e) dv_e, computed once per face by the
   node-average quadrature below.  Then s_e' = g_u c_e, the critical points
   are the roots of g_u (found once, shared by all faces), sup |s_e'| =
-  |c_e| max |g_u|, and the entropy-flux average is c_e times a scalar
-  integral of U' g_u.  No step evaluates f, and the table needs O(faces)
-  memory.
+  |c_e| max |g_u|, and the entropy-flux average is c_e Phi(u), with
+  Phi(u) the scalar integral of U' g_u from 0 to u.  No step evaluates f,
+  and the table needs O(faces) memory.
 - *vertex potential.*  For f = n x grad a, given by a potential a(u, n), the
   flux through a face is the tangential derivative of a along it, so
   s_e(u) = [a(u, end) - a(u, start)] / |e| exactly, with the face's ends
@@ -38,6 +38,9 @@ carries:
   Gauss-Legendre nodes, with f_u for s_e', its critical points scanned per
   face.  The separable path differs from it only by rounding, the vertex
   path by the quadrature error.
+
+On both scanning paths a face whose scanned sup |s_e'| is rounding noise (at
+most 64 eps times the largest over the faces) gets no critical points.
 
 Face-table evaluations follow one shape rule: a scalar state is taken at
 every face; an array state has the faces on its first axis and is viewed as
@@ -55,6 +58,14 @@ The module also provides the numerical entropy fluxes that accompany each
 scheme (Crandall-Majda form for Kruzkov entropies; the classical companions
 for smooth convex entropies) and the per-step convex decomposition
 (u-tilde_{K,e}, u_{K,e}) that the entropy diagnostics are formulated in.
+The entropy fluxes reuse the step's face values.  The consistent fluxes
+S(a), S(b) are taken once per face -- for a separable flux once per cell
+state and shared root of g_u, then gathered and scaled by c_e.  The Godunov
+S(w*) is selected from them, or from S at a critical point, by the index of
+the winning candidate.  By exact consistency F(k, k) = s_e(k), the
+Crandall-Majda flux is the step's own flux minus s_e(k) where both states
+lie above k (s_e(k) minus it below); only faces whose states straddle or
+touch k evaluate F again.
 """
 
 from __future__ import annotations
@@ -184,8 +195,9 @@ class FaceFluxTable:
         """(Re)compute critical points, wave speeds and lambda over ``box``.
 
         Critical points are the sign changes of s' on an ``n_scan``-point
-        grid, refined by bisection.  For a separable flux they are those of
-        g_u, found once and shared by every face."""
+        grid, refined by bisection; a face whose sup |s'| is rounding noise
+        has none.  For a separable flux they are those of g_u, found once
+        and shared by every face (every row of ``crit``)."""
         lo, hi = float(box[0]), float(box[1])
         if not (hi > lo):
             raise ConfigError(f"state box must be a nontrivial interval, got {box}")
@@ -194,7 +206,9 @@ class FaceFluxTable:
         if self.c is None:
             d = self.sp(np.broadcast_to(grid, (self.n_faces, self.n_scan)))
             self.speed = np.max(np.abs(d), axis=1)        # sup |s'| per face
-            crit = _bisect_sign_changes(d, grid, self.sp)
+            # sign changes of rounding noise on inert faces are no critical points
+            inert = self.speed <= 64 * np.finfo(float).eps * self.speed.max(initial=0.0)
+            crit = _bisect_sign_changes(np.where(inert[:, None], 0.0, d), grid, self.sp)
         else:
             d = self.flux.g_u(grid)[None, :]
             self.speed = np.abs(self.c) * np.max(np.abs(d))
@@ -210,22 +224,34 @@ class FaceFluxTable:
     def entropy_average(self, dU: Callable, u, u_ref: float = 0.0):
         """Face average of the entropy flux: integral of U'(w) s_e'(w) dw from
         ``u_ref`` to ``u`` (24-point Gauss-Legendre), per face.  For a
-        separable flux this is c_e times the integral of U'(w) g_u(w)."""
+        separable flux this is c_e times :meth:`separable_entropy`."""
         u = np.asarray(u, dtype=float)
         if u.ndim == 0:
             u = np.full(self.n_faces, float(u))
+        if self.c is not None:
+            return self.c * self.separable_entropy(dU, u, u_ref)
         half = 0.5 * (u - u_ref)
         mid = 0.5 * (u + u_ref)
-        if self.c is not None:
-            # node by node: (F,) temporaries stay in cache, (F, 24) ones do not
-            total = np.zeros_like(u)
-            for x, weight in zip(_GL_X, _GL_W):
-                w = mid + x * half
-                total += weight * (dU(w) * self.flux.g_u(w))
-            return self.c * (half * total)
         w = mid[:, None] + half[:, None] * _GL_X[None, :]          # (F, 24)
         vals = dU(w) * self.sp(w)
         return half * np.sum(_GL_W * vals, axis=-1)
+
+    def separable_entropy(self, dU: Callable, u, u_ref: float = 0.0):
+        """Phi(u): integral of U'(w) g_u(w) dw from ``u_ref`` to ``u``
+        (24-point Gauss-Legendre), elementwise over the states ``u``; the
+        separable entropy-flux average is c_e Phi."""
+        half = 0.5 * (u - u_ref)
+        mid = 0.5 * (u + u_ref)
+        # node by node, in reused buffers that stay in cache
+        total = np.zeros_like(u)
+        w = np.empty_like(u)
+        for x, weight in zip(_GL_X, _GL_W):
+            np.multiply(half, x, out=w)
+            w += mid
+            term = dU(w) * self.flux.g_u(w)
+            term *= weight
+            total += term
+        return half * total
 
 
 def _bisect_sign_changes(d, grid, fprime):
@@ -279,26 +305,33 @@ class NumericalFlux:
             raise ConfigError(f"unknown numerical flux kind {self.kind!r}; "
                               f"choose from {FLUX_KINDS}")
 
+    def _on(self, index) -> "NumericalFlux":
+        """The same flux on a view of a subset of faces (see
+        :meth:`FaceFluxTable.view`); its values are the rows of the full ones."""
+        return replace(self, table=self.table.view(index))
+
     # -- canonical per-face values --------------------------------------------
 
     def _godunov_state(self, a, b, s_a, s_b):
         """Per-face minimizer/maximizer of s over [a^b, a v b] (Godunov state).
 
         The candidates are a, b and the critical points inside the interval,
-        in that order; the first one attaining the extremum wins."""
+        in that order; the first one attaining the extremum wins.  Returns
+        s(w*) and the winner's index: 0 for a, 1 for b, 2 + j for
+        critical-point column j."""
         t = self.table
         lo = np.minimum(a, b)
         hi = np.maximum(a, b)
         take_min = a <= b
         pick_b = np.where(take_min, s_b < s_a, s_b > s_a)
-        w = np.where(pick_b, b, a)
         s = np.where(pick_b, s_b, s_a)
-        for c, c_s in zip(t.crit.T, t.crit_s.T):
+        pick = pick_b.astype(np.intp)
+        for j, (c, c_s) in enumerate(zip(t.crit.T, t.crit_s.T)):
             better = ((c > lo) & (c < hi)
                       & np.where(take_min, c_s < s, c_s > s))
-            w = np.where(better, c, w)
             s = np.where(better, c_s, s)
-        return w, s
+            pick = np.where(better, 2 + j, pick)
+        return s, pick
 
     def _partition(self, a, b):
         """Per face, [a^b, critical points clipped to the interval and sorted,
@@ -335,45 +368,69 @@ class NumericalFlux:
         if self.kind == LAX_FRIEDRICHS:
             return 0.5 * (s_a + s_b) - 0.5 * t.lam * (b - a)
         if self.kind == GODUNOV:
-            _w, s_star = self._godunov_state(a, b, s_a, s_b)
-            return s_star
+            return self._godunov_state(a, b, s_a, s_b)[0]
         tv = self._variation(a, b, s_a, s_b)
         return 0.5 * (s_a + s_b) - 0.5 * np.sign(b - a) * tv
 
     # -- entropy companions ----------------------------------------------------
+    #
+    # Each returns (G, G_left, G_right) for the step of ``decomp``, canonical:
+    # the numerical entropy flux G(a, b) and the consistent entropy fluxes at
+    # the left and right face states a and b.
 
-    def kruzkov_values(self, k: float, a, b):
-        """Crandall-Majda numerical entropy flux for U = |u - k| (canonical)."""
-        return (self.values(np.maximum(a, k), np.maximum(b, k))
-                - self.values(np.minimum(a, k), np.minimum(b, k)))
+    def kruzkov_fluxes(self, k: float, decomp: "ConvexDecomposition") -> tuple:
+        """Kruzkov entropy U = |u - k|: the Crandall-Majda flux
+        F(a v k, b v k) - F(a ^ k, b ^ k) and sgn(u - k)(s(u) - s(k)).
 
-    def kruzkov_consistent(self, k: float, u, s_u=None):
-        """Face average of the Kruzkov entropy flux sgn(u-k)(f(u) - f(k))."""
+        F(k, k) = s(k) bitwise for every kind, so faces with both states
+        above k take the step's own flux minus s(k), faces with both below
+        s(k) minus it; the others evaluate F on a view of their faces."""
         t = self.table
-        if s_u is None:
-            s_u = t.s(u)
-        return np.sign(np.asarray(u, dtype=float) - k) * (s_u - t.s(float(k)))
+        a, b, F = decomp.u_left, decomp.u_right, decomp.flux_canonical
+        s_k = t.s(float(k))
+        G = np.where(a > k, F - s_k, s_k - F)
+        mixed = np.flatnonzero(~(((a > k) & (b > k)) | ((a < k) & (b < k))))
+        if mixed.size:
+            # F(a v k, b v k) and F(a ^ k, b ^ k) in one evaluation
+            am, bm = a[mixed], b[mixed]
+            both = self._on(np.concatenate([mixed, mixed])).values(
+                np.concatenate([np.maximum(am, k), np.minimum(am, k)]),
+                np.concatenate([np.maximum(bm, k), np.minimum(bm, k)]))
+            G[mixed] = both[:mixed.size] - both[mixed.size:]
+        return (G, np.sign(a - k) * (decomp.s_left - s_k),
+                np.sign(b - k) * (decomp.s_right - s_k))
 
-    def smooth_values(self, U: Callable, dU: Callable, a, b):
-        """Numerical entropy flux for a smooth convex U (canonical orientation):
-        LF: central form with lambda dissipation; Godunov: entropy flux at the
-        Godunov state; EO: S(a) + integral of U'(w) min(s'(w), 0) dw."""
+    def smooth_fluxes(self, U: Callable, dU: Callable,
+                      decomp: "ConvexDecomposition") -> tuple:
+        """Smooth convex U, with S = :meth:`FaceFluxTable.entropy_average`:
+        LF: central form with lambda dissipation; Godunov: S(w*), selected by
+        the winning candidate; EO: S(a) + integral of U'(w) min(s'(w), 0) dw.
+        A separable S = c_e Phi is taken per cell state and root of g_u."""
         t = self.table
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
+        mesh = decomp.mesh
+        a, b = decomp.u_left, decomp.u_right
+        if t.c is not None:
+            # the cell states, then the roots of g_u (any row of crit)
+            n = decomp.u_old.size
+            phi = t.separable_entropy(dU, np.concatenate([decomp.u_old, t.crit[:1].ravel()]))
+            S_a = t.c * phi[mesh.face_left]
+            S_b = t.c * phi[mesh.face_right]
+        else:
+            S_a = t.entropy_average(dU, a)
+            S_b = t.entropy_average(dU, b)
         if self.kind == LAX_FRIEDRICHS:
-            Sa = t.entropy_average(dU, a)
-            Sb = t.entropy_average(dU, b)
-            return 0.5 * (Sa + Sb) - 0.5 * t.lam * (U(b) - U(a))
-        if self.kind == GODUNOV:
-            s_a, s_b = t.s(a), t.s(b)
-            w_star, _ = self._godunov_state(a, b, s_a, s_b)
-            return t.entropy_average(dU, w_star)
-        return t.entropy_average(dU, a) + self._eo_weighted_integral(dU, a, b)
-
-    def smooth_consistent(self, dU: Callable, u):
-        """Face average of the entropy flux of a smooth U at a single state."""
-        return self.table.entropy_average(dU, u)
+            G = 0.5 * (S_a + S_b) - 0.5 * t.lam * (U(b) - U(a))
+        elif self.kind == GODUNOV:
+            pick = self._godunov_state(a, b, decomp.s_left, decomp.s_right)[1]
+            G = np.where(pick == 1, S_b, S_a)
+            at_root = np.flatnonzero(pick >= 2)
+            if at_root.size:
+                col = pick[at_root] - 2
+                G[at_root] = (t.c[at_root] * phi[n + col] if t.c is not None else
+                              t.view(at_root).entropy_average(dU, t.crit[at_root, col]))
+        else:
+            G = S_a + self._eo_weighted_integral(dU, a, b)
+        return G, S_a, S_b
 
     def _eo_weighted_integral(self, dU: Callable, a, b):
         """integral_a^b U'(w) min(s'(w), 0) dw per face, split at critical points."""
@@ -401,8 +458,7 @@ class NumericalFlux:
         n_f = t.n_faces
         face_ids = (np.arange(n_f) if n_f <= max_faces
                     else np.sort(rng.choice(n_f, size=max_faces, replace=False)))
-        sub = NumericalFlux(kind=self.kind, table=t.view(face_ids),
-                            monotonicity_tol=self.monotonicity_tol)
+        sub = self._on(face_ids)
         k = face_ids.size
         grid = np.linspace(t.box[0], t.box[1], n_states)
         F = np.empty((n_states, n_states, k))
@@ -446,8 +502,7 @@ def make_numerical_flux(kind: str, mesh: SphereMesh, flux: FluxField,
 def numerical_flux(nf: NumericalFlux, face_id: int, side_cell: int,
                    u: float, v: float) -> float:
     """Two-point flux f_{e,K}(u, v) seen from ``side_cell`` (u on that side)."""
-    t = nf.table
-    mesh = t.mesh
+    mesh = nf.table.mesh
     if side_cell == mesh.face_left[face_id]:
         sign = 1.0
         a, b = float(u), float(v)
@@ -456,9 +511,7 @@ def numerical_flux(nf: NumericalFlux, face_id: int, side_cell: int,
         a, b = float(v), float(u)
     else:
         raise ConfigError(f"cell {side_cell} is not adjacent to face {face_id}")
-    one = NumericalFlux(kind=nf.kind, table=t.view([face_id]),
-                        monotonicity_tol=nf.monotonicity_tol)
-    return float(sign * one.values(np.array([a]), np.array([b]))[0])
+    return float(sign * nf._on([face_id]).values(np.array([a]), np.array([b]))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -526,7 +579,7 @@ class ConvexDecomposition:
     def reconstruction_residual(self) -> float:
         """Max |u_new_K - (1/p_K) sum_e |e| u_{K,e}|."""
         mesh = self.mesh
-        recon = mesh.cell_sum(mesh.face_measure[mesh.cell_faces] * self.u_ke)
+        recon = mesh.cell_sum(np.abs(mesh.slot_measure) * self.u_ke)
         return float(np.max(np.abs(recon / mesh.cell_perimeter - self.u_new)))
 
 
@@ -552,8 +605,8 @@ def step(state: SolverState, flux: FluxField, nf: NumericalFlux,
 
     fid = mesh.cell_faces
     sign = mesh.cell_signs
-    measure = mesh.face_measure[fid]
-    u_new = u - (tau / mesh.cell_area) * mesh.cell_sum(sign * measure * fvals[fid])
+    f_slot = fvals[fid]
+    u_new = u - (tau / mesh.cell_area) * mesh.cell_sum(mesh.slot_measure * f_slot)
     if not np.all(np.isfinite(u_new)):
         bad = int(np.flatnonzero(~np.isfinite(u_new))[0])
         raise InputError(f"non-finite update in cell {bad} "
@@ -568,8 +621,8 @@ def step(state: SolverState, flux: FluxField, nf: NumericalFlux,
     cell = mesh.slot_cell
     mu = tau * mesh.cell_perimeter / mesh.cell_area
     own_s = np.where(sign > 0, s_a[fid], s_b[fid])
-    utilde = u[cell] - mu[cell] * (sign * fvals[fid] - sign * own_s)
-    div_corr = (tau / mesh.cell_area) * mesh.cell_sum(sign * measure * own_s)
+    utilde = u[cell] - mu[cell] * (sign * f_slot - sign * own_s)
+    div_corr = (tau / mesh.cell_area) * mesh.cell_sum(mesh.slot_measure * own_s)
     u_ke = utilde - div_corr[cell]
 
     decomp = ConvexDecomposition(
@@ -600,11 +653,9 @@ def _face_fluxes(nf: NumericalFlux, a: np.ndarray, b: np.ndarray, threads: int):
     s_b = np.empty(t.n_faces)
 
     def work(lo, hi):
-        view = t.view(slice(lo, hi))
-        part = NumericalFlux(kind=nf.kind, table=view,
-                             monotonicity_tol=nf.monotonicity_tol)
-        sa = view.s(a[lo:hi])
-        sb = view.s(b[lo:hi])
+        part = nf._on(slice(lo, hi))
+        sa = part.table.s(a[lo:hi])
+        sb = part.table.s(b[lo:hi])
         fvals[lo:hi] = part.values(a[lo:hi], b[lo:hi], sa, sb)
         s_a[lo:hi] = sa
         s_b[lo:hi] = sb

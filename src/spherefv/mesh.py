@@ -40,7 +40,11 @@ per cell in the fixed order [W, E, N, S], then the north and the south cap,
 n_phi rim slots each in increasing phi order.  Every cell owns a contiguous
 run of slots, and ``SphereMesh.cell_sum`` reduces per-slot values over each
 run in that fixed order, so all per-cell reductions are deterministic
-regardless of how the work is chunked.
+regardless of how the work is chunked.  Two per-slot weights are stored with
+them: ``slot_measure``, the signed arc length ``cell_signs *
+face_measure[cell_faces]`` with which a canonical face value enters the
+cell, and ``slot_weight``, |e| |K| / p_K, the slot's weight in the cell's
+convex decomposition.
 
 The mesh size h is the largest intrinsic (great-circle) cell diameter.  A cap
 is a geodesic disc of radius theta_min, of diameter 2 theta_min.  A band
@@ -58,7 +62,7 @@ that halves under refinement.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -108,6 +112,14 @@ class SphereMesh:
     cell_signs: np.ndarray      # (S,) +1 when the canonical normal is outward, else -1
     slot_cell: np.ndarray       # (S,) owning cell of each slot
     slot_start: np.ndarray      # (N,) first slot of each cell
+    slot_measure: np.ndarray = field(init=False)   # (S,) cell_signs |e|
+    slot_weight: np.ndarray = field(init=False)    # (S,) |e| |K| / p_K
+
+    def __post_init__(self):
+        measure = self.face_measure[self.cell_faces]
+        self.slot_measure = self.cell_signs * measure
+        self.slot_weight = (measure * self.cell_area[self.slot_cell]
+                            / self.cell_perimeter[self.slot_cell])
 
     @property
     def n_cells(self) -> int:

@@ -6,6 +6,7 @@ import pytest
 
 from spherefv import (
     GODUNOV,
+    EntropySpec,
     Monitor,
     VectorField,
     build_latlon,
@@ -208,3 +209,25 @@ def test_monitor_csv_roundtrip(tmp_path):
     assert np.abs(mass - mass[0]).max() <= 1e-12 * (1.0 + abs(mass[0]))
     tv = table["tv_dphi"]
     assert np.all(np.diff(tv) <= 1e-10)
+
+
+def test_monitor_takes_alpha_once_per_state_box(monkeypatch):
+    mesh, flux, nf, tau, state = _setup()
+    boxes = []
+    modulus = EntropySpec.convexity_modulus
+
+    def counted(self, box, n=1000):
+        boxes.append(box)
+        return modulus(self, box, n)
+
+    monkeypatch.setattr(EntropySpec, "convexity_modulus", counted)
+    monitor = Monitor(mesh, nf, entropies=[square_spec(), kruzkov_spec(0.0)])
+    for _ in range(5):
+        state, decomp = step(state, flux, nf)
+        state.tau = tau
+        monitor(state, decomp)
+    assert boxes == [(-1.5, 1.5)] * 2            # once per entropy
+    nf.table.rebuild((-2.0, 2.0))
+    state, decomp = step(state, flux, nf)
+    monitor(state, decomp)
+    assert boxes[2:] == [(-2.0, 2.0)] * 2

@@ -23,6 +23,7 @@ from spherefv import (
     step,
 )
 from spherefv.fvm import FaceFluxTable, NumericalFlux
+from spherefv.mesh import MERIDIAN
 
 
 def _setup(kind=GODUNOV, n_phi=8, n_theta=4, flux_name="latitude_burgers",
@@ -84,14 +85,16 @@ def test_godunov_state_is_first_extremal_candidate(flux_name, params):
         a = rng.choice(states, mesh.n_faces)
         b = rng.choice(states, mesh.n_faces)
         s_a, s_b = t.s(a), t.s(b)
-        w, s = nf._godunov_state(a, b, s_a, s_b)
+        s, pick = nf._godunov_state(a, b, s_a, s_b)
         for e in range(mesh.n_faces):
             lo, hi = sorted((a[e], b[e]))
-            cands = [(a[e], s_a[e]), (b[e], s_b[e])] + [
-                (c, c_s) for c, c_s in zip(t.crit[e], t.crit_s[e]) if lo < c < hi]
+            # candidates (index, s): a, b, then the critical points inside
+            cands = [(0, s_a[e]), (1, s_b[e])] + [
+                (2 + j, c_s) for j, (c, c_s) in enumerate(zip(t.crit[e], t.crit_s[e]))
+                if lo < c < hi]
             # min and max return the first extremal candidate
-            pick = (min if a[e] <= b[e] else max)(cands, key=lambda p: p[1])
-            assert (w[e], s[e]) == pick
+            first = (min if a[e] <= b[e] else max)(cands, key=lambda p: p[1])
+            assert (pick[e], s[e]) == first
 
 
 def test_upwind_equivalence_for_monotone_restriction():
@@ -417,8 +420,9 @@ def test_potential_constant_state_preserved(a, n_phi, n_theta):
 
 # The node-average oracle carries the 3-node quadrature error, O(|e|^6):
 # 1.2e-5 at 12x6 for the sin(3u) potential.  Its scan is slow where s'
-# vanishes identically (e.g. 49 s at 47x24 for the first potential, whose
-# inert faces collect 76 rounding-noise critical points), hence 24x12.
+# vanishes identically (e.g. 59 s at 47x24 for the first potential, whose
+# inert faces collect 76 critical points from the finite-difference noise
+# of f_u, about 2e-11, far above the rounding floor), hence 24x12.
 @pytest.mark.parametrize("n_phi, n_theta, tol", [(12, 6, 1e-4), (24, 12, 1e-6)])
 @pytest.mark.parametrize("a", POTENTIALS)
 def test_vertex_path_matches_node_average(a, n_phi, n_theta, tol):
@@ -433,8 +437,8 @@ def test_vertex_path_matches_node_average(a, n_phi, n_theta, tol):
         assert np.abs(fast.s(table_u) - slow.s(table_u)).max() <= tol
         assert np.abs(fast.sp(table_u) - slow.sp(table_u)).max() <= tol
     assert np.abs(fast.speed - slow.speed).max() <= tol
-    # faces where s' vanishes identically carry rounding-noise critical
-    # points on either path; every other face has the same ones
+    # faces where s' vanishes identically carry noise critical points on
+    # the node-average path only; every other face has the same ones
     live = slow.speed > 1e-8
     count = (~np.isnan(fast.crit)).sum(axis=1)
     assert np.array_equal(count[live], (~np.isnan(slow.crit)).sum(axis=1)[live])
@@ -456,3 +460,96 @@ def test_single_face_potential_flux_matches_full_row(kind):
     for fid in rng.choice(mesh.n_faces, 25, replace=False):
         one = numerical_flux(nf, fid, mesh.face_left[fid], a[fid], b[fid])
         np.testing.assert_array_equal(_bits(np.array([one])), _bits(full[fid:fid + 1]))
+
+
+def test_inert_faces_get_no_critical_points():
+    # one face of this table has |s'| of 1.4e-15 over the box; taken as
+    # critical points, the sign changes of that noise widen crit to 29 columns
+    mesh = build_latlon(12, 6, 0.3)
+    flux = make_flux("potential", {"a": POTENTIALS[1]})
+    box = (-1.5, 1.5)
+    t = FaceFluxTable(mesh, flux, box)
+    inert = t.speed <= 64 * np.finfo(float).eps * t.speed.max()
+    assert inert.any()
+    assert np.isnan(t.crit[inert]).all() and np.isnan(t.crit_s[inert]).all()
+    # every live face keeps its one real critical point: a root of
+    # s' = [u dn3 + d(n1 n2)] / |e|, with dn3 != 0 on meridian faces only
+    grid = np.linspace(box[0], box[1], t.n_scan)
+    d = t.sp(np.broadcast_to(grid, (mesh.n_faces, t.n_scan)))
+    changes = (np.signbit(d[:, 1:]) != np.signbit(d[:, :-1])).any(axis=1)
+    assert t.crit.shape[1] == 1
+    has = ~np.isnan(t.crit[:, 0])
+    assert has.any() and np.array_equal(has, changes & ~inert)
+    assert np.all(mesh.face_kind[has] == MERIDIAN)
+    assert np.abs(t.sp(np.nan_to_num(t.crit[:, 0]))[has]).max() <= 1e-12
+    for kind in FLUX_KINDS:
+        nf = NumericalFlux(kind=kind, table=t)
+        state = init_state(mesh, lambda phi, theta: 0.75 + 0.0 * phi)
+        state.tau = cfl_timestep(mesh, flux, nf, box, 0.5)
+        new, _ = step(state, flux, nf)
+        assert np.abs(new.u - 0.75).max() <= 1e-14
+
+
+# ---------------------------------------------------------------------------
+# entropy companions
+# ---------------------------------------------------------------------------
+
+ENTROPY_TABLES = {
+    "separable": make_flux("latitude_burgers", {"c_expr": "cos(theta)"}),
+    "vertex": make_flux("potential", {"a": POTENTIALS[2]}),
+    "node-average": replace(make_flux("potential", {"a": POTENTIALS[2]}),
+                            potential=None, potential_u=None),
+}
+
+
+@pytest.mark.parametrize("kind", FLUX_KINDS)
+@pytest.mark.parametrize("path", ENTROPY_TABLES)
+def test_entropy_fluxes_match_pointwise_formulas_bitwise(path, kind):
+    mesh = build_latlon(8, 4, 0.3)
+    flux = ENTROPY_TABLES[path]
+    box = (-1.5, 1.5)
+    nf = make_numerical_flux(kind, mesh, flux, box=box)
+    t = nf.table
+    assert path == ("separable" if t.c is not None else
+                    "vertex" if t.ends is not None else "node-average")
+    rng = np.random.default_rng(53)
+    u = rng.uniform(-1.2, 1.2, mesh.n_cells)
+    cells = rng.permutation(mesh.n_cells)
+    u[cells[:6]] = [0.0, -0.0, 0.25, 0.25, -0.0, 0.0]            # at k, signed zeros
+    # states exactly at a face's own critical point
+    at_crit = np.flatnonzero(~np.isnan(t.crit[:, 0]))[:6]
+    u[mesh.face_left[at_crit]] = t.crit[at_crit, 0]
+    state = init_state(mesh, lambda phi, theta: 0.0 * phi)
+    state.u = u
+    state.tau = cfl_timestep(mesh, flux, nf, box, 0.5)
+    _, decomp = step(state, flux, nf)
+    a, b = decomp.u_left, decomp.u_right
+    assert np.array_equal(_bits(a), _bits(u[mesh.face_left]))
+    assert at_crit.size and np.any(np.signbit(a) & (a == 0.0))
+
+    def same(got, expected):
+        for g, e in zip(got, expected):
+            assert np.array_equal(_bits(g), _bits(e))
+
+    for k in (0.0, 0.25):
+        s_k = t.s(float(k))
+        expected = (nf.values(np.maximum(a, k), np.maximum(b, k))
+                    - nf.values(np.minimum(a, k), np.minimum(b, k)),
+                    np.sign(a - k) * (t.s(a) - s_k), np.sign(b - k) * (t.s(b) - s_k))
+        same(nf.kruzkov_fluxes(k, decomp), expected)
+        assert np.any(a == k) and np.any((a - k) * (b - k) < 0)     # both rules run
+
+    spec = square_spec()
+    S_a, S_b = t.entropy_average(spec.dU, a), t.entropy_average(spec.dU, b)
+    if kind == LAX_FRIEDRICHS:
+        G = 0.5 * (S_a + S_b) - 0.5 * t.lam * (spec.U(b) - spec.U(a))
+    elif kind == GODUNOV:
+        # the Godunov state w*, as the first extremal candidate
+        _, pick = nf._godunov_state(a, b, t.s(a), t.s(b))
+        crit = t.crit[np.arange(mesh.n_faces), np.maximum(pick - 2, 0)]
+        w_star = np.where(pick == 0, a, np.where(pick == 1, b, crit))
+        assert np.any(pick >= 2)                                   # critical-point winners
+        G = t.entropy_average(spec.dU, w_star)
+    else:
+        G = S_a + nf._eo_weighted_integral(spec.dU, a, b)
+    same(nf.smooth_fluxes(spec.U, spec.dU, decomp), (G, S_a, S_b))

@@ -78,6 +78,17 @@ def test_face_pairing_and_orientation(small_mesh):
     assert np.abs(m.cell_sum(m.face_measure[fid]) - m.cell_perimeter).max() <= 1e-14
 
 
+def test_slot_weights(small_mesh):
+    m = small_mesh
+    fid, cell = m.cell_faces, m.slot_cell
+    # the signed measure is exact: the scheme's results depend on its bits
+    assert np.array_equal(m.slot_measure, m.cell_signs * m.face_measure[fid])
+    assert np.array_equal(np.abs(m.slot_measure), m.face_measure[fid])
+    # sum_e |e| |K| / p_K = |K|
+    assert np.all(m.slot_weight > 0.0)
+    assert np.abs(m.cell_sum(m.slot_weight) / m.cell_area - 1.0).max() <= 1e-14
+
+
 @pytest.mark.parametrize("n_phi, n_theta", [(3, 2), (8, 4), (13, 7)])
 def test_face_vertices_are_the_face_ends_along_the_tangent(n_phi, n_theta):
     m = build_latlon(n_phi, n_theta, 0.3)
