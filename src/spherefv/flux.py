@@ -44,7 +44,8 @@ class FluxField:
     ``f`` and ``f_u`` take ``(u, phi, theta)`` with numpy broadcasting and
     return shape ``(2,) + broadcast``.  ``potential`` holds the scalar
     a(u, n1, n2, n3) when the flux was built from one, and ``potential_u``
-    its derivative a_u in u (both vectorized; set together).  A separable flux
+    its derivative a_u in u (both vectorized; set together); f_u is then
+    n x (tangential gradient of a_u).  A separable flux
     f(u, x) = g(u) X(x) (see :func:`separable`) also carries ``g``, its
     derivative ``g_u`` (both elementwise in u) and the field
     ``X(phi, theta)`` of shape ``(2,) + broadcast``.
@@ -130,10 +131,10 @@ def _cross_components(vec, n_phi, n_theta):
 
 def _tangential_gradient(a: Callable, u, n, step: float):
     """Tangential part of the ambient gradient of a(u, .) at the unit normals
-    ``n``; shape (3,) + broadcast."""
+    ``n``; shape (3,) + broadcast, ``u`` included (a_u may not depend on u)."""
     axes = np.eye(3).reshape((3, 3) + (1,) * (n.ndim - 1))
     grad = np.stack(np.broadcast_arrays(
-        *[_stencil(lambda d, e=e: a(u, *(n + d * e)), step) for e in axes]))
+        *[_stencil(lambda d, e=e: a(u, *(n + d * e)), step) for e in axes], u)[:3])
     return grad - np.sum(grad * n, axis=0) * n
 
 
@@ -144,19 +145,20 @@ def from_potential(a: Callable, name: str = "potential", step: float = _FD_STEP,
     ``a(u, n1, n2, n3)`` must be smooth near the unit sphere and vectorized.
     Such fluxes are automatically divergence-free at every frozen state.
     ``a_u``, with the same signature, is the derivative of ``a`` in u; without
-    it a finite-difference stencil in u stands in."""
+    it a finite-difference stencil in u stands in.  f_u is formed from
+    ``a_u`` as f is from ``a`` (d/du commutes with the tangential gradient)."""
     if a_u is None:
         def a_u(u, n1, n2, n3):
             return _stencil(lambda d: a(u + d, n1, n2, n3))
 
-    def f(u, phi, theta):
-        n, n_phi, n_theta = _sphere_normals(phi, theta)
-        return _cross_components(_tangential_gradient(a, u, n, step), n_phi, n_theta)
+    def cross_gradient(pot):
+        def field(u, phi, theta):
+            n, n_phi, n_theta = _sphere_normals(phi, theta)
+            return _cross_components(_tangential_gradient(pot, u, n, step), n_phi, n_theta)
+        return field
 
-    def f_u(u, phi, theta):
-        return _stencil(lambda d: f(u + d, phi, theta))
-
-    return FluxField(name=name, f=f, f_u=f_u, potential=a, potential_u=a_u)
+    return FluxField(name=name, f=cross_gradient(a), f_u=cross_gradient(a_u),
+                     potential=a, potential_u=a_u)
 
 
 def tangential_potential_gradient(a: Callable, u, phi, theta, step: float = _FD_STEP):

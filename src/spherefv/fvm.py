@@ -32,15 +32,17 @@ carries:
   the exact a_u.  Every frozen constant state then has zero discrete
   divergence up to rounding (the geometry-compatible discretization of
   Ben-Artzi, Falcovitz and LeFloch, J. Comput. Phys. 228, 2009).  The
-  critical points are scanned per face, two potential evaluations per scan
-  point.
+  critical points are scanned per face, two a_u evaluations per scan point.
 - *node average.*  Any other flux is averaged over the face's 3
   Gauss-Legendre nodes, with f_u for s_e', its critical points scanned per
   face.  The separable path differs from it only by rounding, the vertex
   path by the quadrature error.
 
-On both scanning paths a face whose scanned sup |s_e'| is rounding noise (at
-most 64 eps times the largest over the faces) gets no critical points.
+Both scanning paths scan s_e' a fixed block of faces at a time and keep only
+each face's sup |s_e'| and sign changes, so set-up memory is O(faces).  A
+face whose sup |s_e'| is rounding noise (at most 64 eps times the largest
+over the faces) gets no critical points; only the sign-change brackets of
+the other faces are refined by bisection.
 
 Face-table evaluations follow one shape rule: a scalar state is taken at
 every face; an array state has the faces on its first axis and is viewed as
@@ -88,6 +90,7 @@ GODUNOV = "godunov"
 FLUX_KINDS = (LAX_FRIEDRICHS, ENGQUIST_OSHER, GODUNOV)
 
 _GL_X, _GL_W = leggauss(24)
+_SCAN_BLOCK = 256        # faces per block of the critical-point scan
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +108,8 @@ class FaceFluxTable:
     and end, shape (3, 2, F); each is None otherwise.  ``s`` and ``sp`` take
     a scalar (every face) or an array of shape (F, ...), evaluated as
     g(u) c_e or, viewed as (F, C), at the (2, F, C) face ends or the
-    (F, C, Q) face nodes; they return the shape of ``u``.
+    (F, C, Q) face nodes; they return the shape of ``u``.  :meth:`rebuild`
+    scans them a block of faces at a time, in O(faces) memory.
     """
 
     def __init__(self, mesh: SphereMesh, flux: FluxField, box, n_scan: int = 129):
@@ -138,7 +142,8 @@ class FaceFluxTable:
         v.n_scan = self.n_scan
         for name in ("q_phi", "q_theta", "q_w", "n_phi", "n_theta", "measure",
                      "_st2", "crit", "crit_s", "speed", "lam"):
-            setattr(v, name, getattr(self, name)[index])
+            if hasattr(self, name):       # the box's arrays exist once it is scanned
+                setattr(v, name, getattr(self, name)[index])
         v.c = None if self.c is None else self.c[index]
         v.ends = None if self.ends is None else self.ends[:, :, index]
         v.n_faces = v.measure.shape[0]
@@ -195,24 +200,41 @@ class FaceFluxTable:
         """(Re)compute critical points, wave speeds and lambda over ``box``.
 
         Critical points are the sign changes of s' on an ``n_scan``-point
-        grid, refined by bisection; a face whose sup |s'| is rounding noise
-        has none.  For a separable flux they are those of g_u, found once
-        and shared by every face (every row of ``crit``)."""
+        grid, scanned a block of faces at a time on table views (each row's
+        bits as in one full scan) and bisected on the faces that have one; a
+        face whose sup |s'| is rounding noise has none.  For a separable flux
+        they are those of g_u, found once and shared by every face (every
+        row of ``crit``)."""
         lo, hi = float(box[0]), float(box[1])
         if not (hi > lo):
             raise ConfigError(f"state box must be a nontrivial interval, got {box}")
         self.box = (lo, hi)
         grid = np.linspace(lo, hi, self.n_scan)
         if self.c is None:
-            d = self.sp(np.broadcast_to(grid, (self.n_faces, self.n_scan)))
-            self.speed = np.max(np.abs(d), axis=1)        # sup |s'| per face
+            self.speed = np.empty(self.n_faces)           # sup |s'| per face
+            rows, cols = [], []
+            for start in range(0, self.n_faces, _SCAN_BLOCK):
+                block = slice(start, start + _SCAN_BLOCK)
+                part = self.view(block)
+                d = part.sp(np.broadcast_to(grid, (part.n_faces, grid.size)))
+                self.speed[block] = np.max(np.abs(d), axis=1)
+                r, c = np.nonzero(np.signbit(d[:, 1:]) != np.signbit(d[:, :-1]))
+                rows.append(start + r)
+                cols.append(c)
+            rows, cols = np.concatenate(rows), np.concatenate(cols)
             # sign changes of rounding noise on inert faces are no critical points
             inert = self.speed <= 64 * np.finfo(float).eps * self.speed.max(initial=0.0)
-            crit = _bisect_sign_changes(np.where(inert[:, None], 0.0, d), grid, self.sp)
+            live = ~inert[rows]
+            faces, rows = np.unique(rows[live], return_inverse=True)
+            roots = _bisect_sign_changes(rows, cols[live], faces.size, grid,
+                                         self.view(faces).sp)
+            crit = np.full((self.n_faces, roots.shape[1]), np.nan)
+            crit[faces] = roots
         else:
-            d = self.flux.g_u(grid)[None, :]
+            d = self.flux.g_u(grid)
             self.speed = np.abs(self.c) * np.max(np.abs(d))
-            roots = _bisect_sign_changes(d, grid, self.flux.g_u)
+            cols = np.flatnonzero(np.signbit(d[1:]) != np.signbit(d[:-1]))
+            roots = _bisect_sign_changes(np.zeros_like(cols), cols, 1, grid, self.flux.g_u)
             crit = np.repeat(roots, self.n_faces, axis=0)
         self.lam = 1.01 * self.speed                      # LF dissipation
         self.crit = crit
@@ -254,23 +276,20 @@ class FaceFluxTable:
         return half * total
 
 
-def _bisect_sign_changes(d, grid, fprime):
-    """Roots of a derivative from its samples ``d`` (rows x grid points).
+def _bisect_sign_changes(rows, cols, n_rows, grid, fprime):
+    """Roots of a derivative from the sign changes of its samples on ``grid``.
 
-    Row r's k-th sign change in increasing u brackets column k of the result
-    (NaN past the row's count); each bracket is refined by 60 bisection
-    steps of ``fprime``, which maps a (rows, C) array of states to the
-    derivative at them.  Brackets are found and kept by the sign bit, so a
-    root on a grid point, where the derivative is a signed zero, stays in
-    its bracket."""
-    n_rows = d.shape[0]
-    sign = np.signbit(d)
-    change = sign[:, 1:] != sign[:, :-1]
-    count = change.sum(axis=1)
+    A sign change of row ``rows[i]`` lies between ``grid[cols[i]]`` and
+    ``grid[cols[i] + 1]``, listed in row-major order; row r's k-th sign
+    change brackets column k of the (n_rows, max count) result (NaN past the
+    row's count).  Each bracket is refined by 60 bisection steps of
+    ``fprime``, which maps an (n_rows, C) array of states to the derivative
+    at them.  Brackets are kept by the sign bit, so a root on a grid point,
+    where the derivative is a signed zero, stays in its bracket."""
+    count = np.bincount(rows, minlength=n_rows)
     max_crit = int(count.max()) if count.size else 0
     if not max_crit:
         return np.full((n_rows, 0), np.nan)
-    rows, cols = np.nonzero(change)
     rank = np.arange(rows.size) - (np.cumsum(count) - count)[rows]
     a = np.full((n_rows, max_crit), grid[0])
     b = np.full((n_rows, max_crit), grid[0])
@@ -334,43 +353,45 @@ class NumericalFlux:
         return s, pick
 
     def _partition(self, a, b):
-        """Per face, [a^b, critical points clipped to the interval and sorted,
-        a v b]: shape (F, C + 2)."""
-        t = self.table
+        """Per face, [a^b, critical points clipped to the interval, a v b]:
+        shape (F, C + 2), ascending (``crit`` is, and NaN is taken as a v b)."""
         lo = np.minimum(a, b)[:, None]
         hi = np.maximum(a, b)[:, None]
-        clipped = np.sort(np.clip(np.nan_to_num(t.crit, nan=t.box[0]), lo, hi), axis=1)
-        return np.concatenate([lo, clipped, hi], axis=1)
+        return np.concatenate([lo, np.maximum(np.fmin(self.table.crit, hi), lo), hi], axis=1)
 
     def _variation(self, a, b, s_a, s_b):
         """TV(s; [a^b, a v b]) per face, via the critical-point partition.
 
         A partition point that collapses onto an interval end reuses that
-        end's value (keeps degenerate faces exact)."""
+        end's value (keeps degenerate faces exact) and so adds +0.  The
+        |increments| are summed column by column from a^b, in order."""
         pts = self._partition(a, b)
         inner, lo, hi = pts[:, 1:-1], pts[:, :1], pts[:, -1:]
-        s_lo = np.where(a <= b, s_a, s_b)[:, None]
-        s_hi = np.where(a <= b, s_b, s_a)[:, None]
-        s_inner = np.where(inner == hi, s_hi,
-                           np.where(inner == lo, s_lo, self.table.s(inner)))
-        pts_s = np.concatenate([s_lo, s_inner, s_hi], axis=1)
-        return np.sum(np.abs(np.diff(pts_s, axis=1)), axis=1)
+        s_lo = np.where(a <= b, s_a, s_b)
+        s_hi = np.where(a <= b, s_b, s_a)
+        s_inner = np.where(inner == hi, s_hi[:, None],
+                           np.where(inner == lo, s_lo[:, None], self.table.s(inner)))
+        tv = np.zeros_like(s_lo)
+        for s_prev, s_next in zip([s_lo, *s_inner.T], [*s_inner.T, s_hi]):
+            tv += np.abs(s_next - s_prev)
+        return tv
+
+    def _values(self, a, b, s_a, s_b):
+        """Canonical numerical flux per face and, for Godunov, the index of
+        the winning candidate (see :meth:`_godunov_state`; None otherwise)."""
+        if self.kind == LAX_FRIEDRICHS:
+            return 0.5 * (s_a + s_b) - 0.5 * self.table.lam * (b - a), None
+        if self.kind == GODUNOV:
+            return self._godunov_state(a, b, s_a, s_b)
+        tv = self._variation(a, b, s_a, s_b)
+        return 0.5 * (s_a + s_b) - 0.5 * np.sign(b - a) * tv, None
 
     def values(self, a, b, s_a=None, s_b=None):
         """Canonical numerical flux per face for left/right states (a, b)."""
-        t = self.table
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
-        if s_a is None:
-            s_a = t.s(a)
-        if s_b is None:
-            s_b = t.s(b)
-        if self.kind == LAX_FRIEDRICHS:
-            return 0.5 * (s_a + s_b) - 0.5 * t.lam * (b - a)
-        if self.kind == GODUNOV:
-            return self._godunov_state(a, b, s_a, s_b)[0]
-        tv = self._variation(a, b, s_a, s_b)
-        return 0.5 * (s_a + s_b) - 0.5 * np.sign(b - a) * tv
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        s_a = self.table.s(a) if s_a is None else s_a
+        s_b = self.table.s(b) if s_b is None else s_b
+        return self._values(a, b, s_a, s_b)[0]
 
     # -- entropy companions ----------------------------------------------------
     #
@@ -404,8 +425,8 @@ class NumericalFlux:
                       decomp: "ConvexDecomposition") -> tuple:
         """Smooth convex U, with S = :meth:`FaceFluxTable.entropy_average`:
         LF: central form with lambda dissipation; Godunov: S(w*), selected by
-        the winning candidate; EO: S(a) + integral of U'(w) min(s'(w), 0) dw.
-        A separable S = c_e Phi is taken per cell state and root of g_u."""
+        the step's winning candidate ``decomp.pick``; EO: S(a) + integral of
+        U'(w) min(s'(w), 0) dw.  A separable S = c_e Phi is taken per cell state and root of g_u."""
         t = self.table
         mesh = decomp.mesh
         a, b = decomp.u_left, decomp.u_right
@@ -421,7 +442,7 @@ class NumericalFlux:
         if self.kind == LAX_FRIEDRICHS:
             G = 0.5 * (S_a + S_b) - 0.5 * t.lam * (U(b) - U(a))
         elif self.kind == GODUNOV:
-            pick = self._godunov_state(a, b, decomp.s_left, decomp.s_right)[1]
+            pick = decomp.pick
             G = np.where(pick == 1, S_b, S_a)
             at_root = np.flatnonzero(pick >= 2)
             if at_root.size:
@@ -575,6 +596,7 @@ class ConvexDecomposition:
     u_right: np.ndarray           # (F,)
     s_left: np.ndarray            # (F,) s_e(u_left)
     s_right: np.ndarray           # (F,)
+    pick: Optional[np.ndarray]    # (F,) Godunov winners (_godunov_state); else None
 
     def reconstruction_residual(self) -> float:
         """Max |u_new_K - (1/p_K) sum_e |e| u_{K,e}|."""
@@ -601,7 +623,7 @@ def step(state: SolverState, flux: FluxField, nf: NumericalFlux,
 
     a = u[mesh.face_left]
     b = u[mesh.face_right]
-    fvals, s_a, s_b = _face_fluxes(nf, a, b, threads)
+    fvals, pick, s_a, s_b = _face_fluxes(nf, a, b, threads)
 
     fid = mesh.cell_faces
     sign = mesh.cell_signs
@@ -628,12 +650,13 @@ def step(state: SolverState, flux: FluxField, nf: NumericalFlux,
     decomp = ConvexDecomposition(
         mesh=mesh, tau=tau, u_old=u, u_new=u_new, mu=mu, utilde=utilde,
         u_ke=u_ke, div_corr=div_corr, flux_canonical=fvals, u_left=a,
-        u_right=b, s_left=s_a, s_right=s_b)
+        u_right=b, s_left=s_a, s_right=s_b, pick=pick)
     return new_state, decomp
 
 
 def _face_fluxes(nf: NumericalFlux, a: np.ndarray, b: np.ndarray, threads: int):
-    """Numerical flux values (and s at both states) for all faces.
+    """Numerical flux values, Godunov winners (None for other kinds; see
+    :meth:`NumericalFlux._values`) and s at both states for all faces.
 
     With ``threads > 1`` the face range is split into contiguous chunks that
     are evaluated concurrently on table views; every per-face computation is
@@ -641,28 +664,21 @@ def _face_fluxes(nf: NumericalFlux, a: np.ndarray, b: np.ndarray, threads: int):
     single-chunk evaluation."""
     t = nf.table
     if threads <= 1 or t.n_faces < 2 * threads:
-        s_a = t.s(a)
-        s_b = t.s(b)
-        return nf.values(a, b, s_a, s_b), s_a, s_b
+        s_a, s_b = t.s(a), t.s(b)
+        return (*nf._values(a, b, s_a, s_b), s_a, s_b)
 
     from concurrent.futures import ThreadPoolExecutor
 
     bounds = np.linspace(0, t.n_faces, threads + 1).astype(int)
-    fvals = np.empty(t.n_faces)
-    s_a = np.empty(t.n_faces)
-    s_b = np.empty(t.n_faces)
 
     def work(lo, hi):
         part = nf._on(slice(lo, hi))
-        sa = part.table.s(a[lo:hi])
-        sb = part.table.s(b[lo:hi])
-        fvals[lo:hi] = part.values(a[lo:hi], b[lo:hi], sa, sb)
-        s_a[lo:hi] = sa
-        s_b[lo:hi] = sb
+        sa, sb = part.table.s(a[lo:hi]), part.table.s(b[lo:hi])
+        return (*part._values(a[lo:hi], b[lo:hi], sa, sb), sa, sb)
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(lambda pair: work(*pair), zip(bounds[:-1], bounds[1:])))
-    return fvals, s_a, s_b
+        parts = list(pool.map(lambda pair: work(*pair), zip(bounds[:-1], bounds[1:])))
+    return tuple(None if col[0] is None else np.concatenate(col) for col in zip(*parts))
 
 
 def run(state0: SolverState, flux: FluxField, nf: NumericalFlux, T: float,

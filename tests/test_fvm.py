@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -22,6 +23,7 @@ from spherefv import (
     square_spec,
     step,
 )
+from spherefv import fvm
 from spherefv.fvm import FaceFluxTable, NumericalFlux
 from spherefv.mesh import MERIDIAN
 
@@ -95,6 +97,52 @@ def test_godunov_state_is_first_extremal_candidate(flux_name, params):
             # min and max return the first extremal candidate
             first = (min if a[e] <= b[e] else max)(cands, key=lambda p: p[1])
             assert (pick[e], s[e]) == first
+
+
+def _variation_sorted_partition(nf, a, b, s_a, s_b):
+    """The Engquist-Osher variation as one sum over a sorted partition:
+    missing critical points at the box's low end, clipped into the interval
+    and sorted to its front, then np.sum over the |increments|."""
+    t = nf.table
+    lo = np.minimum(a, b)[:, None]
+    hi = np.maximum(a, b)[:, None]
+    inner = np.sort(np.clip(np.nan_to_num(t.crit, nan=t.box[0]), lo, hi), axis=1)
+    s_lo = np.where(a <= b, s_a, s_b)[:, None]
+    s_hi = np.where(a <= b, s_b, s_a)[:, None]
+    s_inner = np.where(inner == hi, s_hi, np.where(inner == lo, s_lo, t.s(inner)))
+    pts_s = np.concatenate([s_lo, s_inner, s_hi], axis=1)
+    return np.sum(np.abs(np.diff(pts_s, axis=1)), axis=1)
+
+
+# potentials whose vertex tables at 12x6 have 0, 1, 3 and 6 critical columns
+# (a_u = n3, n3 + 0.6 u n1, (u^3 - u) n3, 7 cos(7u) n3).  np.sum adds fewer
+# than 8 terms in order, so up to 6 columns the column-by-column sum must
+# agree bit for bit.
+@pytest.mark.parametrize("a, width", [("u*n3", 0), ("u*n3 + 0.3*u^2*n1", 1),
+                                      ("(0.25*u^4 - 0.5*u^2)*n3", 3), ("sin(7*u)*n3", 6)])
+def test_variation_by_columns_matches_sorted_partition_sum(a, width):
+    mesh = build_latlon(12, 6, 0.3)
+    nf = make_numerical_flux(ENGQUIST_OSHER, mesh, make_flux("potential", {"a": a}),
+                             box=(-1.5, 1.5))
+    t = nf.table
+    assert t.crit.shape[1] == width
+    rng = np.random.default_rng(54)
+    ua = rng.uniform(-1.5, 1.5, mesh.n_faces)
+    ub = rng.uniform(-1.5, 1.5, mesh.n_faces)
+    faces = rng.permutation(mesh.n_faces)
+    ub[faces[:20]] = ua[faces[:20]]                               # equal states
+    if width:
+        # states at a face's own critical points, on both sides
+        has = np.flatnonzero(~np.isnan(t.crit[:, 0]))
+        ua[has[:15]] = t.crit[has[:15], 0]
+        ub[has[5:20]] = t.crit[has[5:20], width - 1]
+        ub[has[20:25]] = ua[has[20:25]] = t.crit[has[20:25], 0]
+    assert np.isfinite(ua).all() and np.isfinite(ub).all()
+    for x, y in [(ua, ub), (ub, ua)]:
+        s_x, s_y = t.s(x), t.s(y)
+        np.testing.assert_array_equal(
+            _bits(nf._variation(x, y, s_x, s_y)),
+            _bits(_variation_sorted_partition(nf, x, y, s_x, s_y)))
 
 
 def test_upwind_equivalence_for_monotone_restriction():
@@ -239,6 +287,40 @@ def test_intermediate_states_are_convex_combinations():
     assert lam[mask].max() <= 1.0 + 1e-12
     recon = own * (1.0 - lam) + other * lam
     assert np.abs((recon - d.utilde)[mask]).max() <= 1e-12
+
+
+def test_monitored_godunov_step_evaluates_candidates_once(monkeypatch):
+    mesh, flux, nf, tau = _setup(GODUNOV, n_phi=12, n_theta=6)
+    state = _initial(mesh)
+    state.tau = tau
+    calls = []
+    godunov_state = NumericalFlux._godunov_state
+
+    def counted(self, *args):
+        calls.append(args[0].size)
+        return godunov_state(self, *args)
+
+    monkeypatch.setattr(NumericalFlux, "_godunov_state", counted)
+    _, decomp = step(state, flux, nf)
+    G = nf.smooth_fluxes(square_spec().U, square_spec().dU, decomp)
+    entropy_report(nf, decomp, square_spec())
+    assert calls == [mesh.n_faces]                  # the step's own evaluation
+    _, plain = step(state, flux, nf, need_decomposition=False)
+    assert plain is None and len(calls) == 2
+    monkeypatch.undo()
+
+    # the carried winners are those of a fresh evaluation, threads or not, so
+    # smooth_fluxes selects as before (its values are checked bitwise against
+    # the pointwise formulas in test_entropy_fluxes_match_pointwise_formulas_bitwise)
+    _, pick = nf._godunov_state(decomp.u_left, decomp.u_right, decomp.s_left, decomp.s_right)
+    assert np.array_equal(decomp.pick, pick) and np.any(pick >= 2)
+    _, threaded = step(state, flux, nf, threads=4)
+    assert np.array_equal(threaded.pick, pick)
+    for got, expected in zip(G, nf.smooth_fluxes(square_spec().U, square_spec().dU, threaded)):
+        np.testing.assert_array_equal(_bits(got), _bits(expected))
+    for kind in (LAX_FRIEDRICHS, ENGQUIST_OSHER):
+        other = make_numerical_flux(kind, mesh, flux, box=(-1.5, 1.5))
+        assert step(state, flux, other)[1].pick is None
 
 
 # ---------------------------------------------------------------------------
@@ -488,6 +570,88 @@ def test_inert_faces_get_no_critical_points():
         state.tau = cfl_timestep(mesh, flux, nf, box, 0.5)
         new, _ = step(state, flux, nf)
         assert np.abs(new.u - 0.75).max() <= 1e-14
+
+
+def _full_scan(t, box):
+    """speed, lam, crit and crit_s of ``t`` over ``box`` from one (F, n_scan)
+    scan of s' and a bisection of every face's row: the table's rule without
+    blocks, as a reference."""
+    grid = np.linspace(box[0], box[1], t.n_scan)
+    d = t.sp(np.broadcast_to(grid, (t.n_faces, t.n_scan)))
+    speed = np.max(np.abs(d), axis=1)
+    inert = speed <= 64 * np.finfo(float).eps * speed.max(initial=0.0)
+    sign = np.signbit(np.where(inert[:, None], 0.0, d))
+    change = sign[:, 1:] != sign[:, :-1]
+    count = change.sum(axis=1)
+    width = int(count.max())
+    a = np.full((t.n_faces, width), grid[0])
+    b = np.full((t.n_faces, width), grid[0])
+    for e, cols in enumerate(change):
+        k = np.flatnonzero(cols)
+        a[e, :k.size] = grid[k]
+        b[e, :k.size] = grid[k + 1]
+    mask = np.arange(width) < count[:, None]
+    fa = np.where(mask, t.sp(a), 0.0)
+    for _ in range(60):
+        mid = 0.5 * (a + b)
+        fm = np.where(mask, t.sp(mid), 0.0)
+        left = np.signbit(fa) == np.signbit(fm)
+        a, fa, b = np.where(left, mid, a), np.where(left, fm, fa), np.where(left, b, mid)
+    crit = np.where(mask, 0.5 * (a + b), np.nan)
+    crit_s = np.where(np.isnan(crit), np.nan, t.s(np.nan_to_num(crit, nan=box[0])))
+    return {"speed": speed, "lam": 1.01 * speed, "crit": crit, "crit_s": crit_s}
+
+
+def _assert_table_bits(t, expected):
+    for name, value in expected.items():
+        assert getattr(t, name).shape == value.shape, name
+        np.testing.assert_array_equal(_bits(getattr(t, name)), _bits(value), err_msg=name)
+
+
+@pytest.mark.parametrize("n_phi, n_theta", [(12, 6), (24, 12)])
+@pytest.mark.parametrize("path", ["vertex", "node-average"])
+@pytest.mark.parametrize("a", POTENTIALS)
+def test_chunked_rebuild_matches_full_scan(a, path, n_phi, n_theta):
+    mesh = build_latlon(n_phi, n_theta, 0.3)
+    assert mesh.n_faces % fvm._SCAN_BLOCK                 # a partial last block
+    flux = make_flux("potential", {"a": a})
+    if path == "node-average":
+        flux = replace(flux, potential=None, potential_u=None)
+    nf = make_numerical_flux(ENGQUIST_OSHER, mesh, flux, box=(-0.2, 0.6))
+    t = nf.table
+    assert (t.ends is not None) == (path == "vertex")
+    _assert_table_bits(t, _full_scan(t, t.box))
+    with pytest.warns(RuntimeWarning, match="state left the tracked box"):
+        nf.ensure_box(-1.2, 1.3)
+    assert t.box[0] < -1.2 and t.box[1] > 1.3
+    _assert_table_bits(t, _full_scan(t, t.box))
+
+
+def test_chunked_rebuild_keeps_inert_faces_out():
+    # 0.5*u^2*n3 + u*n1*n2 at 12x6 has inert faces; u^3 - u has three
+    # critical points on every meridian face and none on the others
+    for a, n_phi, n_theta in [(POTENTIALS[1], 12, 6), ("(0.25*u^4 - 0.5*u^2)*n3", 24, 12)]:
+        mesh = build_latlon(n_phi, n_theta, 0.3)
+        t = FaceFluxTable(mesh, make_flux("potential", {"a": a}), (-1.5, 1.5))
+        inert = t.speed <= 64 * np.finfo(float).eps * t.speed.max()
+        assert inert.any() and np.isnan(t.crit[inert]).all()
+        _assert_table_bits(t, _full_scan(t, t.box))
+    assert t.crit.shape[1] == 3 and np.array_equal(inert, mesh.face_kind != MERIDIAN)
+
+
+@pytest.mark.parametrize("a", POTENTIALS)
+def test_potential_table_build_memory_is_linear_in_faces(a):
+    # one (2, F, n_scan) scan array alone would take 2 * 129 * 8 B = 2 KB per face
+    mesh = build_latlon(96, 48, 0.3)
+    flux = make_flux("potential", {"a": a})
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        FaceFluxTable(mesh, flux, (-1.5, 1.5))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1024 * mesh.n_faces
 
 
 # ---------------------------------------------------------------------------
