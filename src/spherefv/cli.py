@@ -339,7 +339,6 @@ def convergence_study(cfg: ScenarioConfig, levels: int, out_dir: str,
                       threads: int = 1) -> int:
     if levels < 2:
         raise ConfigError(f"need at least 2 refinement levels, got {levels}")
-    flux = fluxmod.make_flux(cfg.flux_name, cfg.flux_params)
     if cfg.flux_name != "solid_rotation":
         raise ConfigError("convergence reference requires the solid_rotation "
                           "flux (exact solution by rotation)")

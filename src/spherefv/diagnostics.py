@@ -38,9 +38,7 @@ def tv_face_weights(mesh: SphereMesh, X: geometry.VectorField) -> np.ndarray:
     shape (2, F, 3): its components must accept coordinate arrays and return
     shape (2, F, 3), or (2,) for a constant field (broadcast to every node)."""
     comp = X.at(np.stack([mesh.face_q_phi, mesh.face_q_theta]))
-    st2 = np.sin(mesh.face_q_theta) ** 2
-    integrand = np.abs(st2 * comp[0] * mesh.face_n_phi + comp[1] * mesh.face_n_theta)
-    return np.sum(mesh.face_q_w * integrand, axis=-1)
+    return np.sum(mesh.face_q_w * np.abs(mesh.normal_component(comp)), axis=-1)
 
 
 def discrete_tv_x(state: SolverState, X, weights: Optional[np.ndarray] = None) -> float:

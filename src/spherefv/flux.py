@@ -121,9 +121,17 @@ def _sphere_normals(phi, theta):
     return n, n_phi, n_theta
 
 
+def _lift(vec, ndim: int):
+    """An ambient vector array (3,) + s with unit axes put in front of s, up
+    to ``ndim`` axes, so that it broadcasts against (3,) + broadcast(u, s)."""
+    return vec.reshape(vec.shape[:1] + (1,) * (ndim - vec.ndim) + vec.shape[1:])
+
+
 def _cross_components(vec, n_phi, n_theta):
     """Intrinsic components of n x vec for an ambient vector ``vec``:
         f^phi = (vec . n_theta) / sin(theta),   f^theta = -(vec . n_phi) / sin(theta)."""
+    ndim = max(vec.ndim, n_phi.ndim)
+    vec, n_phi, n_theta = (_lift(x, ndim) for x in (vec, n_phi, n_theta))
     st = np.sqrt(np.sum(n_phi * n_phi, axis=0))  # = sin(theta) off the poles
     return np.stack(np.broadcast_arrays(np.sum(vec * n_theta, axis=0) / st,
                                         -np.sum(vec * n_phi, axis=0) / st))
@@ -132,6 +140,7 @@ def _cross_components(vec, n_phi, n_theta):
 def _tangential_gradient(a: Callable, u, n, step: float):
     """Tangential part of the ambient gradient of a(u, .) at the unit normals
     ``n``; shape (3,) + broadcast, ``u`` included (a_u may not depend on u)."""
+    n = _lift(n, np.ndim(u) + 1)
     axes = np.eye(3).reshape((3, 3) + (1,) * (n.ndim - 1))
     grad = np.stack(np.broadcast_arrays(
         *[_stencil(lambda d, e=e: a(u, *(n + d * e)), step) for e in axes], u)[:3])
@@ -173,10 +182,9 @@ def cross_flux(phi_vec: Callable, name: str = "cross") -> FluxField:
     sphere (intrinsic components as in :func:`_cross_components`)."""
 
     def f(u, phi, theta):
-        n, n_phi, n_theta = _sphere_normals(phi, theta)
-        vec = np.asarray(phi_vec(u, phi, theta), dtype=float)
-        vec = vec.reshape(vec.shape[:1] + (1,) * (n.ndim - vec.ndim) + vec.shape[1:])
-        return _cross_components(vec, n_phi, n_theta)
+        _, n_phi, n_theta = _sphere_normals(phi, theta)
+        return _cross_components(np.asarray(phi_vec(u, phi, theta), dtype=float),
+                                 n_phi, n_theta)
 
     def f_u(u, phi, theta):
         return _stencil(lambda d: f(u + d, phi, theta))

@@ -14,14 +14,14 @@ box, which makes consistency exact and monotonicity hold to rounding:
 - Lax-Friedrichs uses a per-face dissipation ``lambda_e = 1.01 sup |s_e'|``,
   so faces the flux never crosses stay exactly inert.
 
-The restriction s_e is formed in one of three ways, chosen by what the flux
-carries:
+The restriction s_e is formed in one of two ways, chosen by what the flux
+carries; a flux that carries neither is rejected with ``ConfigError``:
 
 - *separable.*  For f(u, x) = g(u) X(x) -- the registry's ``solid_rotation``
   (g = u) and ``latitude_burgers`` (g = u^2/2) -- s_e(u) = g(u) c_e with
-  c_e = (1/|e|) int_e g(X, n_e) dv_e, computed once per face by the
-  node-average quadrature below.  Then s_e' = g_u c_e, the critical points
-  are the roots of g_u (found once, shared by all faces), sup |s_e'| =
+  c_e = (1/|e|) int_e g(X, n_e) dv_e, computed once per face by the mesh's
+  3-node face quadrature.  Then s_e' = g_u c_e, the critical points are the
+  roots of g_u (found once, shared by all faces), sup |s_e'| =
   |c_e| max |g_u|, and the entropy-flux average is c_e Phi(u), with
   Phi(u) the scalar integral of U' g_u from 0 to u.  No step evaluates f,
   and the table needs O(faces) memory.
@@ -33,12 +33,8 @@ carries:
   divergence up to rounding (the geometry-compatible discretization of
   Ben-Artzi, Falcovitz and LeFloch, J. Comput. Phys. 228, 2009).  The
   critical points are scanned per face, two a_u evaluations per scan point.
-- *node average.*  Any other flux is averaged over the face's 3
-  Gauss-Legendre nodes, with f_u for s_e', its critical points scanned per
-  face.  The separable path differs from it only by rounding, the vertex
-  path by the quadrature error.
 
-Both scanning paths scan s_e' a fixed block of faces at a time and keep only
+The vertex path scans s_e' a fixed block of faces at a time and keeps only
 each face's sup |s_e'| and sign changes, so set-up memory is O(faces).  A
 face whose sup |s_e'| is rounding noise (at most 64 eps times the largest
 over the faces) gets no critical points; only the sign-change brackets of
@@ -91,6 +87,7 @@ FLUX_KINDS = (LAX_FRIEDRICHS, ENGQUIST_OSHER, GODUNOV)
 
 _GL_X, _GL_W = leggauss(24)
 _SCAN_BLOCK = 256        # faces per block of the critical-point scan
+_N_SCAN = 129            # points of the critical-point scan grid over the box
 
 
 # ---------------------------------------------------------------------------
@@ -102,33 +99,36 @@ class FaceFluxTable:
 
     ``box`` is the state interval over which critical points and wave speeds
     are tracked; it can be rebuilt (expanded) on demand.  s_e is formed in
-    one of the three ways of the module docstring.  For a separable flux
+    one of the two ways of the module docstring.  For a separable flux
     ``c`` holds the per-face constants c_e of s_e = g c_e, for a potential
     flux ``ends`` holds the unit vectors (n1, n2, n3) of each face's start
-    and end, shape (3, 2, F); each is None otherwise.  ``s`` and ``sp`` take
+    and end, shape (3, 2, F); the other one is None.  ``s`` and ``sp`` take
     a scalar (every face) or an array of shape (F, ...), evaluated as
-    g(u) c_e or, viewed as (F, C), at the (2, F, C) face ends or the
-    (F, C, Q) face nodes; they return the shape of ``u``.  :meth:`rebuild`
-    scans them a block of faces at a time, in O(faces) memory.
+    g(u) c_e or, viewed as (F, C), at the (2, F, C) face ends; they return
+    the shape of ``u``.  :meth:`rebuild` scans them a block of faces at a
+    time, in O(faces) memory.
     """
 
-    def __init__(self, mesh: SphereMesh, flux: FluxField, box, n_scan: int = 129):
+    def __init__(self, mesh: SphereMesh, flux: FluxField, box):
         self.mesh = mesh
         self.flux = flux
-        self.n_scan = n_scan
+        self.n_scan = _N_SCAN
         self.q_phi = mesh.face_q_phi
-        self.q_theta = mesh.face_q_theta
-        self.q_w = mesh.face_q_w
-        self.n_phi = mesh.face_n_phi
-        self.n_theta = mesh.face_n_theta
         self.measure = mesh.face_measure
-        self._st2 = np.sin(self.q_theta) ** 2
-        self.n_faces = self.measure.size
-        self.c = (None if flux.g is None else self._average(np.asarray(
-            flux.X(self.q_phi[:, None, :], self.q_theta[:, None, :])))[:, 0])
-        self.ends = (None if self.c is not None or flux.potential is None
-                     else np.ascontiguousarray(mesh.vertex_xyz[mesh.face_vertices].T))
+        self.c = self.ends = None
+        if flux.g is not None:
+            comp = np.asarray(flux.X(mesh.face_q_phi, mesh.face_q_theta))
+            self.c = np.sum(mesh.face_q_w * mesh.normal_component(comp), axis=-1) / self.measure
+        elif flux.potential is not None:
+            self.ends = np.ascontiguousarray(mesh.vertex_xyz[mesh.face_vertices].T)
+        else:
+            raise ConfigError(f"flux {flux.name!r} is neither separable (g) nor given "
+                              "by a potential: no face restriction s_e for it")
         self.rebuild(box)
+
+    @property
+    def n_faces(self) -> int:
+        return self.measure.shape[0]
 
     def view(self, index) -> "FaceFluxTable":
         """A shallow view over a subset of faces (slice or index array).
@@ -136,62 +136,48 @@ class FaceFluxTable:
         Every per-face quantity is row-independent, so evaluations on a view
         are bitwise identical to the corresponding rows of a full evaluation;
         this is what makes chunked (multi-worker) stepping reproducible."""
-        v = object.__new__(FaceFluxTable)
-        v.mesh = self.mesh
-        v.flux = self.flux
-        v.n_scan = self.n_scan
-        for name in ("q_phi", "q_theta", "q_w", "n_phi", "n_theta", "measure",
-                     "_st2", "crit", "crit_s", "speed", "lam"):
-            if hasattr(self, name):       # the box's arrays exist once it is scanned
-                setattr(v, name, getattr(self, name)[index])
+        v = object.__new__(type(self))
+        v.mesh, v.flux, v.n_scan, v.box = self.mesh, self.flux, self.n_scan, self.box
+        v.measure = self.measure[index]
         v.c = None if self.c is None else self.c[index]
         v.ends = None if self.ends is None else self.ends[:, :, index]
-        v.n_faces = v.measure.shape[0]
-        v.box = self.box
+        v.speed, v.lam = self.speed[index], self.lam[index]
+        v.crit, v.crit_s = self.crit[index], self.crit_s[index]
         return v
 
     # -- pointwise evaluations ------------------------------------------------
 
-    def _average(self, comp):
-        """Face average of g(., n): intrinsic components (2, F, C, Q) -> (F, C)."""
-        integrand = (self._st2[:, None] * comp[0] * self.n_phi[:, None]
-                     + comp[1] * self.n_theta[:, None])
-        return np.sum(self.q_w[:, None] * integrand, axis=-1) / self.measure[:, None]
+    def _eval(self, u, derivative: bool, faces=slice(None)):
+        """s (or s' with ``derivative``) at the states ``u`` on the table's
+        rows ``faces`` (a slice or an index array; all rows by default).
 
-    def _eval(self, u, derivative: bool):
-        """s (or s' with ``derivative``) at the states ``u``.
-
-        A scalar ``u`` is taken at every face; otherwise the first axis of
-        ``u`` runs over the faces.  For a separable flux g (g_u) is
+        A scalar ``u`` is taken at every one of those faces; otherwise the
+        first axis of ``u`` runs over them.  For a separable flux g (g_u) is
         evaluated at ``u`` and scaled by c_e broadcast over the trailing
-        axes; otherwise ``u`` is viewed as (F, C) and the potential a (a_u)
-        is differenced between the (2, F, C) face ends, or f (f_u) averaged
-        over the (F, C, Q) face nodes.  The result has the shape of ``u``
-        (of (F,) for a scalar)."""
+        axes; for a potential flux ``u`` is viewed as (F, C) and the
+        potential a (a_u) is differenced between the (2, F, C) face ends.
+        The result has the shape of ``u`` (of (F,) for a scalar)."""
         flux = self.flux
+        measure = self.measure[faces]
         u = np.asarray(u, dtype=float)
         if u.ndim == 0:
-            u = np.full(self.n_faces, float(u))
+            u = np.full(measure.shape[0], float(u))
         if self.c is not None:
             g = flux.g_u if derivative else flux.g
-            return g(u) * self.c.reshape(self.c.shape + (1,) * (u.ndim - 1))
+            c = self.c[faces]
+            return g(u) * c.reshape(c.shape + (1,) * (u.ndim - 1))
         cols = u.reshape(u.shape[0], math.prod(u.shape[1:]))
-        if self.ends is not None:
-            a = flux.potential_u if derivative else flux.potential
-            n1, n2, n3 = self.ends[..., None]
-            v = np.broadcast_to(a(cols, n1, n2, n3), (2,) + cols.shape)
-            return ((v[1] - v[0]) / self.measure[:, None]).reshape(u.shape)
-        f = flux.f_u if derivative else flux.f
-        comp = np.asarray(f(cols[:, :, None], self.q_phi[:, None, :],
-                            self.q_theta[:, None, :]))
-        return self._average(comp).reshape(u.shape)
+        a = flux.potential_u if derivative else flux.potential
+        n1, n2, n3 = self.ends[:, :, faces, None]
+        v = np.broadcast_to(a(cols, n1, n2, n3), (2,) + cols.shape)
+        return ((v[1] - v[0]) / measure[:, None]).reshape(u.shape)
 
     def s(self, u):
         """Canonical face-averaged normal flux at state(s) u."""
         return self._eval(u, derivative=False)
 
     def sp(self, u):
-        """Derivative s_e'(u) (face average of g(f_u, n))."""
+        """Derivative s_e'(u): g_u c_e, or the face-end difference of a_u."""
         return self._eval(u, derivative=True)
 
     # -- state box / critical points ------------------------------------------
@@ -200,8 +186,8 @@ class FaceFluxTable:
         """(Re)compute critical points, wave speeds and lambda over ``box``.
 
         Critical points are the sign changes of s' on an ``n_scan``-point
-        grid, scanned a block of faces at a time on table views (each row's
-        bits as in one full scan) and bisected on the faces that have one; a
+        grid, scanned a block of faces at a time (each row's bits as in one
+        full scan) and bisected on the faces that have one; a
         face whose sup |s'| is rounding noise has none.  For a separable flux
         they are those of g_u, found once and shared by every face (every
         row of ``crit``)."""
@@ -215,8 +201,8 @@ class FaceFluxTable:
             rows, cols = [], []
             for start in range(0, self.n_faces, _SCAN_BLOCK):
                 block = slice(start, start + _SCAN_BLOCK)
-                part = self.view(block)
-                d = part.sp(np.broadcast_to(grid, (part.n_faces, grid.size)))
+                n_block = self.measure[block].shape[0]
+                d = self._eval(np.broadcast_to(grid, (n_block, grid.size)), True, block)
                 self.speed[block] = np.max(np.abs(d), axis=1)
                 r, c = np.nonzero(np.signbit(d[:, 1:]) != np.signbit(d[:, :-1]))
                 rows.append(start + r)
@@ -227,7 +213,7 @@ class FaceFluxTable:
             live = ~inert[rows]
             faces, rows = np.unique(rows[live], return_inverse=True)
             roots = _bisect_sign_changes(rows, cols[live], faces.size, grid,
-                                         self.view(faces).sp)
+                                         lambda x: self._eval(x, True, faces))
             crit = np.full((self.n_faces, roots.shape[1]), np.nan)
             crit[faces] = roots
         else:

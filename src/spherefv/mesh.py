@@ -129,6 +129,14 @@ class SphereMesh:
     def n_faces(self) -> int:
         return len(self.face_measure)
 
+    def normal_component(self, comp, faces=slice(None)) -> np.ndarray:
+        """g(v, n_e) at the quadrature nodes of the faces ``faces`` (a
+        slice, an index or an index array), for intrinsic components
+        ``comp`` = (v^phi, v^theta) of the nodes' shape: the metric is
+        diag(sin^2 theta, 1) and the normal components are contravariant."""
+        st2 = np.sin(self.face_q_theta[faces]) ** 2
+        return st2 * comp[0] * self.face_n_phi[faces] + comp[1] * self.face_n_theta[faces]
+
     def cell_sum(self, slot_values: np.ndarray) -> np.ndarray:
         """Per-cell sums of per-slot values, each taken over the cell's slots
         in their fixed order."""
@@ -254,11 +262,9 @@ def face_average_normal_flux(mesh: SphereMesh, face_id: int, side_cell: int,
         sign = -1.0
     else:
         raise ConfigError(f"cell {side_cell} is not adjacent to face {face_id}")
-    q_theta = mesh.face_q_theta[face_id]
-    comp = np.asarray(flux.f(u, mesh.face_q_phi[face_id], q_theta), dtype=float)
-    st = np.sin(q_theta)
-    # g(f, n) with metric diag(sin^2 theta, 1) and contravariant normal components
-    integrand = st * st * comp[0] * mesh.face_n_phi[face_id] + comp[1] * mesh.face_n_theta[face_id]
+    comp = np.asarray(flux.f(u, mesh.face_q_phi[face_id], mesh.face_q_theta[face_id]),
+                      dtype=float)
+    integrand = mesh.normal_component(comp, face_id)
     return float(sign * np.dot(mesh.face_q_w[face_id], integrand) / mesh.face_measure[face_id])
 
 

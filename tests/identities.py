@@ -1,13 +1,53 @@
-"""Shared helpers: smooth random test data on the sphere and the residuals of
+"""Shared helpers: smooth random test data on the sphere, the residuals of
 the divergence/Lie-derivative chain-rule identities used by both the geometry
-unit tests and the acceptance suite."""
+unit tests and the acceptance suite, and the node-average quadrature oracle
+for the solver's face tables."""
 
 import math
 
 import numpy as np
 
-from spherefv import geometry
+from spherefv import fvm, geometry
 from spherefv.geometry import VectorField, fd_gradient
+
+
+class NodeAverageTable(fvm.FaceFluxTable):
+    """Face table whose s_e is the mesh's 3-node Gauss-Legendre face average
+    of g(f(u, x), n_e), and s_e' that of g(f_u, n_e), for any flux.
+
+    The quadrature oracle of the solver's two face paths: the separable path
+    differs from it only by rounding, the vertex path by the quadrature
+    error.  Only the evaluation is its own; critical points, wave speeds and
+    numerical fluxes come from the solver's ``rebuild``, bisection and
+    ``NumericalFlux``.  ``face_ids`` maps the rows of a view to mesh faces."""
+
+    def __init__(self, mesh, flux, box):
+        self.mesh, self.flux = mesh, flux
+        self.n_scan = fvm._N_SCAN
+        self.measure = mesh.face_measure
+        self.c = self.ends = None
+        self.face_ids = np.arange(mesh.n_faces)
+        self.rebuild(box)
+
+    def view(self, index):
+        v = super().view(index)
+        v.face_ids = self.face_ids[index]
+        return v
+
+    def _eval(self, u, derivative, faces=slice(None)):
+        """f (f_u) at the (F, C, 3) face nodes of the states viewed as
+        (F, C), averaged per face; the result has the shape of ``u``."""
+        mesh = self.mesh
+        ids = self.face_ids[faces][:, None]
+        u = np.asarray(u, dtype=float)
+        if u.ndim == 0:
+            u = np.full(ids.shape[0], float(u))
+        cols = u.reshape(u.shape[0], math.prod(u.shape[1:]))
+        f = self.flux.f_u if derivative else self.flux.f
+        comp = np.asarray(f(cols[:, :, None], mesh.face_q_phi[ids], mesh.face_q_theta[ids]))
+        integrand = mesh.normal_component(comp, ids)
+        average = np.sum(mesh.face_q_w[ids] * integrand, axis=-1) / mesh.face_measure[ids]
+        return average.reshape(u.shape)
 
 
 def smooth_scalar(coeffs):

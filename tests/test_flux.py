@@ -56,9 +56,12 @@ def test_registry_potential_f_u_from_exact_a_u():
     # a = u n3: f_u = n x grad n3 is the rigid rotation (-1, 0) at every
     # state, and the exact a_u = n3 leaves only the linear stencil in space
     f = make_flux("potential", {"a": "u*n3"})
-    phi = np.linspace(0.0, 2 * math.pi, 13)[None, :, None]
+    phis = np.linspace(0.0, 2 * math.pi, 13)[:, None]
     theta = np.linspace(0.05, math.pi - 0.05, 11)
-    for u in (-1.3, 0.0, 0.4, np.linspace(-1.0, 1.0, 5)[:, None, None]):
+    states = np.linspace(-1.0, 1.0, 5)[:, None, None]
+    # last: u with more axes than broadcast(phi, theta)
+    for u, phi in [(-1.3, phis[None]), (0.0, phis[None]), (0.4, phis[None]),
+                   (states, phis[None]), (states, phis)]:
         fu = np.asarray(f.f_u(u, phi, theta))
         assert fu.shape == (2,) + np.broadcast_shapes(np.shape(u), phi.shape, theta.shape)
         assert np.abs(fu[0] + 1.0).max() <= 1e-12

@@ -13,6 +13,7 @@ from spherefv import (
     LAX_FRIEDRICHS,
     build_latlon,
     cfl_timestep,
+    cross_flux,
     entropy_report,
     init_state,
     kruzkov_spec,
@@ -26,6 +27,8 @@ from spherefv import (
 from spherefv import fvm
 from spherefv.fvm import FaceFluxTable, NumericalFlux
 from spherefv.mesh import MERIDIAN
+
+from identities import NodeAverageTable
 
 
 def _setup(kind=GODUNOV, n_phi=8, n_theta=4, flux_name="latitude_burgers",
@@ -401,8 +404,8 @@ def test_separable_path_matches_generic(name, params, n_phi, n_theta):
     mesh = build_latlon(n_phi, n_theta, 0.3)
     flux = make_flux(name, params)
     fast = FaceFluxTable(mesh, flux, box)
-    # without g, g_u and X the table takes the generic path
-    slow = FaceFluxTable(mesh, replace(flux, g=None, g_u=None, X=None), box)
+    # the node-average quadrature oracle evaluates f itself
+    slow = NodeAverageTable(mesh, flux, box)
     assert fast.c is not None and slow.c is None
 
     tol = 1e-14
@@ -416,7 +419,7 @@ def test_separable_path_matches_generic(name, params, n_phi, n_theta):
     assert np.abs(fast.speed - slow.speed).max() <= tol
     assert np.abs(fast.entropy_average(dU, u) - slow.entropy_average(dU, u)).max() <= tol
 
-    # every critical point of the generic scan is found on the fast path
+    # every critical point of the oracle's scan is found on the fast path
     found = ~np.isnan(slow.crit)
     assert fast.crit.shape[1] >= slow.crit.shape[1]
     assert np.abs(fast.crit[:, :slow.crit.shape[1]][found] - slow.crit[found]).max(
@@ -434,12 +437,12 @@ def test_separable_path_matches_generic(name, params, n_phi, n_theta):
 
 @pytest.mark.parametrize("path", ["separable", "generic"])
 def test_box_expansion_rebuilds_table(path):
+    # "generic": a scanned table, here the node-average oracle's
     mesh = build_latlon(12, 6, 0.3)
     flux = make_flux("latitude_burgers", {"c_expr": "sin(theta)"})
-    if path == "generic":
-        flux = replace(flux, g=None, g_u=None, X=None)
+    table = FaceFluxTable if path == "separable" else NodeAverageTable
     box = (-0.2, 0.6)
-    nf = make_numerical_flux(GODUNOV, mesh, flux, box=box)
+    nf = NumericalFlux(kind=GODUNOV, table=table(mesh, flux, box))
     state = _initial(mesh)
     assert state.u.min() < box[0]
     state.tau = cfl_timestep(mesh, flux, nf, (-1.0, 1.0), 0.5)
@@ -447,7 +450,7 @@ def test_box_expansion_rebuilds_table(path):
         step(state, flux, nf)
     t = nf.table
     assert t.box[0] <= state.u.min() and state.u.max() <= t.box[1]
-    fresh = FaceFluxTable(mesh, flux, t.box)
+    fresh = table(mesh, flux, t.box)
     assert (t.c is None) == (path == "generic")
     for name in ("crit", "crit_s", "speed"):
         np.testing.assert_array_equal(getattr(t, name), getattr(fresh, name))
@@ -455,21 +458,31 @@ def test_box_expansion_rebuilds_table(path):
 
 
 def test_separable_step_never_evaluates_f():
+    # neither face path evaluates f or f_u while stepping and monitoring
     mesh = build_latlon(12, 6, 0.3)
-    flux = make_flux("latitude_burgers", {"c_expr": "sin(theta)"})
     box = (-1.5, 1.5)
 
     def forbidden(*args):
-        raise AssertionError("separable path evaluated f or f_u")
+        raise AssertionError("a face table evaluated f or f_u")
 
-    blind = replace(flux, f=forbidden, f_u=forbidden)
-    for kind in FLUX_KINDS:
-        nf = make_numerical_flux(kind, mesh, blind, box=box)
-        state = _initial(mesh)
-        state.tau = cfl_timestep(mesh, flux, nf, box, 0.5)
-        _, decomp = step(state, blind, nf)
-        for spec in (square_spec(), kruzkov_spec(0.0)):
-            entropy_report(nf, decomp, spec)
+    for flux in (make_flux("latitude_burgers", {"c_expr": "sin(theta)"}),
+                 make_flux("potential", {"a": "u*n3 + 0.3*u^2*n1"})):
+        blind = replace(flux, f=forbidden, f_u=forbidden)
+        for kind in FLUX_KINDS:
+            nf = make_numerical_flux(kind, mesh, blind, box=box)
+            state = _initial(mesh)
+            state.tau = cfl_timestep(mesh, flux, nf, box, 0.5)
+            _, decomp = step(state, blind, nf)
+            for spec in (square_spec(), kruzkov_spec(0.0)):
+                entropy_report(nf, decomp, spec)
+
+
+def test_flux_without_face_restriction_rejected():
+    # neither separable nor given by a potential: no face path forms s_e
+    mesh = build_latlon(8, 4, 0.3)
+    flux = cross_flux(lambda u, phi, theta: np.array([0.0, 0.0, 1.0]))
+    with pytest.raises(ConfigError, match="neither separable"):
+        make_numerical_flux(GODUNOV, mesh, flux)
 
 
 # ---------------------------------------------------------------------------
@@ -500,11 +513,13 @@ def test_potential_constant_state_preserved(a, n_phi, n_theta):
         assert np.abs(new.u - 0.75).max() <= 1e-14
 
 
-# The node-average oracle carries the 3-node quadrature error, O(|e|^6):
-# 1.2e-5 at 12x6 for the sin(3u) potential.  Its scan is slow where s'
-# vanishes identically (e.g. 59 s at 47x24 for the first potential, whose
-# inert faces collect 76 critical points from the finite-difference noise
-# of f_u, about 2e-11, far above the rounding floor), hence 24x12.
+# The solver forms s_e in two ways, separable and vertex potential; the
+# node-average oracle (tests/identities.py) averages f over the 3 face nodes
+# and carries the 3-node quadrature error, O(|e|^6): 1.2e-5 at 12x6 for the
+# sin(3u) potential.  Its scan is slow where s' vanishes identically (e.g.
+# 59 s at 47x24 for the first potential, whose inert faces collect 76
+# critical points from the finite-difference noise of f_u, about 2e-11, far
+# above the rounding floor), hence 24x12.
 @pytest.mark.parametrize("n_phi, n_theta, tol", [(12, 6, 1e-4), (24, 12, 1e-6)])
 @pytest.mark.parametrize("a", POTENTIALS)
 def test_vertex_path_matches_node_average(a, n_phi, n_theta, tol):
@@ -512,7 +527,7 @@ def test_vertex_path_matches_node_average(a, n_phi, n_theta, tol):
     mesh = build_latlon(n_phi, n_theta, 0.3)
     flux = make_flux("potential", {"a": a})
     fast = FaceFluxTable(mesh, flux, box)
-    slow = FaceFluxTable(mesh, replace(flux, potential=None, potential_u=None), box)
+    slow = NodeAverageTable(mesh, flux, box)
     assert fast.ends is not None and slow.ends is None
     u = np.random.default_rng(51).uniform(box[0], box[1], mesh.n_faces)
     for table_u in [u, np.column_stack([u, -u])]:
@@ -520,7 +535,7 @@ def test_vertex_path_matches_node_average(a, n_phi, n_theta, tol):
         assert np.abs(fast.sp(table_u) - slow.sp(table_u)).max() <= tol
     assert np.abs(fast.speed - slow.speed).max() <= tol
     # faces where s' vanishes identically carry noise critical points on
-    # the node-average path only; every other face has the same ones
+    # the oracle only; every other face has the same ones
     live = slow.speed > 1e-8
     count = (~np.isnan(fast.crit)).sum(axis=1)
     assert np.array_equal(count[live], (~np.isnan(slow.crit)).sum(axis=1)[live])
@@ -609,17 +624,15 @@ def _assert_table_bits(t, expected):
 
 
 @pytest.mark.parametrize("n_phi, n_theta", [(12, 6), (24, 12)])
-@pytest.mark.parametrize("path", ["vertex", "node-average"])
+@pytest.mark.parametrize("path", ["vertex"])         # the one scanned face path
 @pytest.mark.parametrize("a", POTENTIALS)
 def test_chunked_rebuild_matches_full_scan(a, path, n_phi, n_theta):
     mesh = build_latlon(n_phi, n_theta, 0.3)
     assert mesh.n_faces % fvm._SCAN_BLOCK                 # a partial last block
     flux = make_flux("potential", {"a": a})
-    if path == "node-average":
-        flux = replace(flux, potential=None, potential_u=None)
     nf = make_numerical_flux(ENGQUIST_OSHER, mesh, flux, box=(-0.2, 0.6))
     t = nf.table
-    assert (t.ends is not None) == (path == "vertex")
+    assert t.ends is not None
     _assert_table_bits(t, _full_scan(t, t.box))
     with pytest.warns(RuntimeWarning, match="state left the tracked box"):
         nf.ensure_box(-1.2, 1.3)
@@ -658,11 +671,12 @@ def test_potential_table_build_memory_is_linear_in_faces(a):
 # entropy companions
 # ---------------------------------------------------------------------------
 
+# the two face paths, and the node-average oracle as a third table type
+# behind the same NumericalFlux
 ENTROPY_TABLES = {
-    "separable": make_flux("latitude_burgers", {"c_expr": "cos(theta)"}),
-    "vertex": make_flux("potential", {"a": POTENTIALS[2]}),
-    "node-average": replace(make_flux("potential", {"a": POTENTIALS[2]}),
-                            potential=None, potential_u=None),
+    "separable": (FaceFluxTable, make_flux("latitude_burgers", {"c_expr": "cos(theta)"})),
+    "vertex": (FaceFluxTable, make_flux("potential", {"a": POTENTIALS[2]})),
+    "node-average": (NodeAverageTable, make_flux("potential", {"a": POTENTIALS[2]})),
 }
 
 
@@ -670,9 +684,9 @@ ENTROPY_TABLES = {
 @pytest.mark.parametrize("path", ENTROPY_TABLES)
 def test_entropy_fluxes_match_pointwise_formulas_bitwise(path, kind):
     mesh = build_latlon(8, 4, 0.3)
-    flux = ENTROPY_TABLES[path]
+    table, flux = ENTROPY_TABLES[path]
     box = (-1.5, 1.5)
-    nf = make_numerical_flux(kind, mesh, flux, box=box)
+    nf = NumericalFlux(kind=kind, table=table(mesh, flux, box))
     t = nf.table
     assert path == ("separable" if t.c is not None else
                     "vertex" if t.ends is not None else "node-average")
