@@ -33,9 +33,7 @@ from .flux import (
     EntropyPair,
     FluxField,
     TVDReport,
-    cross_flux,
     divfree_residual,
-    embedded_flux,
     entropy_flux,
     from_potential,
     kruzkov_pair,

@@ -290,8 +290,7 @@ def oracle_compare(cfg: ScenarioConfig, out_dir: str, threads: int = 1) -> int:
     # rims) to be inert
     other = np.flatnonzero(mesh.face_kind != meshmod.MERIDIAN)
     probe = np.linspace(sc.box[0], sc.box[1], 9)
-    worst_inert = max(float(np.abs(nf.table.s(np.full(mesh.n_faces, p))[other]).max())
-                      for p in probe)
+    worst_inert = max(float(np.abs(nf.table.s(p)[other]).max()) for p in probe)
     if worst_inert > 1e-14:
         raise ConfigError(
             "flux is not of the decoupled latitude form (f^theta = 0): "

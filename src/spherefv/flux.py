@@ -1,10 +1,10 @@
 """Flux fields f(u, x) on the sphere.
 
 Provides separable fluxes f(u, x) = g(u) X(x), construction from scalar
-potentials (automatically divergence-free), the cross-product representation
-f = n x Phi, entropy pairs (smooth and Kruzkov), divergence residuals, and the
-compatibility checks that decide whether total variation along a vector field
-X is non-increasing.
+potentials (automatically divergence-free, in the cross-product form
+f = n x Phi), entropy pairs (smooth and Kruzkov), divergence residuals, and
+the compatibility checks that decide whether total variation along a vector
+field X is non-increasing.
 
 All flux callables are numpy-vectorized: ``f(u, phi, theta)`` accepts scalars
 or broadcastable arrays and returns an array of shape ``(2,) + broadcast``
@@ -89,7 +89,7 @@ def divfree_residual(f: FluxField, u: float, sample, step: float = _FD_STEP) -> 
 
 
 # ---------------------------------------------------------------------------
-# construction: separable fluxes, potentials, cross products
+# construction: separable fluxes, potentials
 # ---------------------------------------------------------------------------
 
 def separable(name: str, g: Callable, g_u: Callable, X: Callable) -> FluxField:
@@ -173,29 +173,6 @@ def from_potential(a: Callable, name: str = "potential", step: float = _FD_STEP,
 def tangential_potential_gradient(a: Callable, u, phi, theta, step: float = _FD_STEP):
     """Phi = tangential gradient of a(u, .) at n(phi, theta); shape (3,) + broadcast."""
     return _tangential_gradient(a, u, _sphere_normals(phi, theta)[0], step)
-
-
-def cross_flux(phi_vec: Callable, name: str = "cross") -> FluxField:
-    """Flux f = n x Phi for an ambient vector function Phi(u, phi, theta) -> R^3.
-
-    Only the tangential part of Phi contributes; the result is tangent to the
-    sphere (intrinsic components as in :func:`_cross_components`)."""
-
-    def f(u, phi, theta):
-        _, n_phi, n_theta = _sphere_normals(phi, theta)
-        return _cross_components(np.asarray(phi_vec(u, phi, theta), dtype=float),
-                                 n_phi, n_theta)
-
-    def f_u(u, phi, theta):
-        return _stencil(lambda d: f(u + d, phi, theta))
-
-    return FluxField(name=name, f=f, f_u=f_u)
-
-
-def embedded_flux(f: FluxField, u: float, phi: float, theta: float) -> np.ndarray:
-    """Ambient R^3 tangent vector of f(u, .) at a point."""
-    comp = np.asarray(f.f(u, phi, theta), dtype=float).reshape(2)
-    return geometry.embedded_vector(comp, phi, theta)
 
 
 # ---------------------------------------------------------------------------

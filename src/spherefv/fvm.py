@@ -9,8 +9,8 @@ box, which makes consistency exact and monotonicity hold to rounding:
 - Godunov takes the true min/max of ``s_e`` over the state interval, the
   interior extrema being the precomputed critical points;
 - Engquist-Osher uses the total-variation form
-  ``1/2 (s(u)+s(v)) - 1/2 sgn(v-u) TV(s; [u^v, u v v])`` with the variation
-  evaluated on the critical-point partition;
+  ``1/2 (s(u)+s(v)) - 1/2 sgn(v-u) TV(s; [u^v, u v v])``, TV being the sum
+  of |Delta s| over the critical-point partition, s there read from the table;
 - Lax-Friedrichs uses a per-face dissipation ``lambda_e = 1.01 sup |s_e'|``,
   so faces the flux never crosses stay exactly inert.
 
@@ -60,7 +60,9 @@ The entropy fluxes reuse the step's face values.  The consistent fluxes
 S(a), S(b) are taken once per face -- for a separable flux once per cell
 state and shared root of g_u, then gathered and scaled by c_e.  The Godunov
 S(w*) is selected from them, or from S at a critical point, by the index of
-the winning candidate.  By exact consistency F(k, k) = s_e(k), the
+the winning candidate.  The Engquist-Osher entropy flux is the flux's own
+partition sum with the signs of the increments of s_e weighting those of S.
+By exact consistency F(k, k) = s_e(k), the
 Crandall-Majda flux is the step's own flux minus s_e(k) where both states
 lie above k (s_e(k) minus it below); only faces whose states straddle or
 touch k evaluate F again.
@@ -338,29 +340,35 @@ class NumericalFlux:
             pick = np.where(better, 2 + j, pick)
         return s, pick
 
-    def _partition(self, a, b):
-        """Per face, [a^b, critical points clipped to the interval, a v b]:
-        shape (F, C + 2), ascending (``crit`` is, and NaN is taken as a v b)."""
+    def _variation(self, a, b, s_a, s_b, v=None):
+        """The Engquist-Osher sum of sgn(Delta s) Delta v over the segments of
+        the critical-point partition of [a^b, a v b], per face, added column
+        by column from a^b.  s is monotone on each segment, so for v = s
+        (``v`` None) this is TV(s) -- sgn(x) x = |x| exactly -- and for v = S
+        the integral of U' |s'|.  ``v`` is (v_a, v_b, v_at): v_at(rows, cols)
+        is v at critical-point column ``cols`` of faces ``rows``, where s is
+        ``crit_s``.  A critical point outside (a^b, a v b), or NaN, collapses
+        onto an end and takes its values, so it adds +0."""
+        t = self.table
         lo = np.minimum(a, b)[:, None]
         hi = np.maximum(a, b)[:, None]
-        return np.concatenate([lo, np.maximum(np.fmin(self.table.crit, hi), lo), hi], axis=1)
+        inner = np.maximum(np.fmin(t.crit, hi), lo)            # ascending, as crit
+        rows, cols = np.nonzero((inner != lo) & (inner != hi))
 
-    def _variation(self, a, b, s_a, s_b):
-        """TV(s; [a^b, a v b]) per face, via the critical-point partition.
+        def at_partition(v_a, v_b, v_at):
+            v_lo = np.where(a <= b, v_a, v_b)[:, None]
+            v_hi = np.where(a <= b, v_b, v_a)[:, None]
+            v_inner = np.where(inner == hi, v_hi, v_lo)
+            if rows.size:
+                v_inner[rows, cols] = v_at(rows, cols)
+            return np.concatenate([v_lo, v_inner, v_hi], axis=1)
 
-        A partition point that collapses onto an interval end reuses that
-        end's value (keeps degenerate faces exact) and so adds +0.  The
-        |increments| are summed column by column from a^b, in order."""
-        pts = self._partition(a, b)
-        inner, lo, hi = pts[:, 1:-1], pts[:, :1], pts[:, -1:]
-        s_lo = np.where(a <= b, s_a, s_b)
-        s_hi = np.where(a <= b, s_b, s_a)
-        s_inner = np.where(inner == hi, s_hi[:, None],
-                           np.where(inner == lo, s_lo[:, None], self.table.s(inner)))
-        tv = np.zeros_like(s_lo)
-        for s_prev, s_next in zip([s_lo, *s_inner.T], [*s_inner.T, s_hi]):
-            tv += np.abs(s_next - s_prev)
-        return tv
+        s_pts = at_partition(s_a, s_b, lambda r, c: t.crit_s[r, c])
+        v_pts = s_pts if v is None else at_partition(*v)
+        total = np.zeros(a.shape)
+        for j in range(1, s_pts.shape[1]):
+            total += np.sign(s_pts[:, j] - s_pts[:, j - 1]) * (v_pts[:, j] - v_pts[:, j - 1])
+        return total
 
     def _values(self, a, b, s_a, s_b):
         """Canonical numerical flux per face and, for Godunov, the index of
@@ -372,12 +380,10 @@ class NumericalFlux:
         tv = self._variation(a, b, s_a, s_b)
         return 0.5 * (s_a + s_b) - 0.5 * np.sign(b - a) * tv, None
 
-    def values(self, a, b, s_a=None, s_b=None):
+    def values(self, a, b):
         """Canonical numerical flux per face for left/right states (a, b)."""
         a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-        s_a = self.table.s(a) if s_a is None else s_a
-        s_b = self.table.s(b) if s_b is None else s_b
-        return self._values(a, b, s_a, s_b)[0]
+        return self._values(a, b, self.table.s(a), self.table.s(b))[0]
 
     # -- entropy companions ----------------------------------------------------
     #
@@ -411,8 +417,10 @@ class NumericalFlux:
                       decomp: "ConvexDecomposition") -> tuple:
         """Smooth convex U, with S = :meth:`FaceFluxTable.entropy_average`:
         LF: central form with lambda dissipation; Godunov: S(w*), selected by
-        the step's winning candidate ``decomp.pick``; EO: S(a) + integral of
-        U'(w) min(s'(w), 0) dw.  A separable S = c_e Phi is taken per cell state and root of g_u."""
+        the step's winning candidate ``decomp.pick``; EO:
+        1/2 (S(a)+S(b)) - 1/2 sgn(b-a) sum sgn(Delta s) Delta S (see
+        :meth:`_variation`).  A separable S = c_e Phi is taken per cell state
+        and root of g_u; S at a critical point only on the faces needing it."""
         t = self.table
         mesh = decomp.mesh
         a, b = decomp.u_left, decomp.u_right
@@ -425,6 +433,13 @@ class NumericalFlux:
         else:
             S_a = t.entropy_average(dU, a)
             S_b = t.entropy_average(dU, b)
+
+        def S_at(rows, cols):
+            """S at critical-point column ``cols`` of faces ``rows``."""
+            if t.c is not None:
+                return t.c[rows] * phi[n + cols]
+            return t.view(rows).entropy_average(dU, t.crit[rows, cols])
+
         if self.kind == LAX_FRIEDRICHS:
             G = 0.5 * (S_a + S_b) - 0.5 * t.lam * (U(b) - U(a))
         elif self.kind == GODUNOV:
@@ -432,27 +447,11 @@ class NumericalFlux:
             G = np.where(pick == 1, S_b, S_a)
             at_root = np.flatnonzero(pick >= 2)
             if at_root.size:
-                col = pick[at_root] - 2
-                G[at_root] = (t.c[at_root] * phi[n + col] if t.c is not None else
-                              t.view(at_root).entropy_average(dU, t.crit[at_root, col]))
+                G[at_root] = S_at(at_root, pick[at_root] - 2)
         else:
-            G = S_a + self._eo_weighted_integral(dU, a, b)
+            tv_S = self._variation(a, b, decomp.s_left, decomp.s_right, (S_a, S_b, S_at))
+            G = 0.5 * (S_a + S_b) - 0.5 * np.sign(b - a) * tv_S
         return G, S_a, S_b
-
-    def _eo_weighted_integral(self, dU: Callable, a, b):
-        """integral_a^b U'(w) min(s'(w), 0) dw per face, split at critical points."""
-        t = self.table
-        pts = self._partition(a, b)
-        total = np.zeros(a.size)
-        for seg in range(pts.shape[1] - 1):
-            p, q = pts[:, seg], pts[:, seg + 1]
-            nonempty = q > p
-            midsign = t.sp(0.5 * (p + q)) < 0.0
-            w = 0.5 * (p + q)[:, None] + 0.5 * (q - p)[:, None] * _GL_X[None, :]
-            vals = dU(w) * t.sp(w)
-            integral = 0.5 * (q - p) * np.sum(_GL_W * vals, axis=-1)
-            total += np.where(nonempty & midsign, integral, 0.0)
-        return np.sign(b - a) * total
 
     # -- validation / box management -------------------------------------------
 

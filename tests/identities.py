@@ -1,13 +1,18 @@
 """Shared helpers: smooth random test data on the sphere, the residuals of
 the divergence/Lie-derivative chain-rule identities used by both the geometry
-unit tests and the acceptance suite, and the node-average quadrature oracle
-for the solver's face tables."""
+unit tests and the acceptance suite, the node-average quadrature oracle for
+the solver's face tables, the per-segment quadrature oracle for the
+Engquist-Osher entropy flux, and cross-product fluxes f = n x Phi, which
+carry no face restriction for the solver."""
 
 import math
+from typing import Callable
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from spherefv import fvm, geometry
+from spherefv.flux import FluxField, _cross_components, _sphere_normals, _stencil
 from spherefv.geometry import VectorField, fd_gradient
 
 
@@ -49,6 +54,60 @@ class NodeAverageTable(fvm.FaceFluxTable):
         average = np.sum(mesh.face_q_w[ids] * integrand, axis=-1) / mesh.face_measure[ids]
         return average.reshape(u.shape)
 
+
+_GL_X, _GL_W = leggauss(24)
+
+
+def eo_entropy_integral(nf, dU, a, b):
+    """integral_a^b U'(w) min(s'(w), 0) dw per face, by 24-point
+    Gauss-Legendre quadrature on each segment of the critical-point
+    partition where s' < 0 at the midpoint.  S(a) plus it is the
+    Engquist-Osher entropy flux."""
+    t = nf.table
+    lo = np.minimum(a, b)[:, None]
+    hi = np.maximum(a, b)[:, None]
+    pts = np.concatenate([lo, np.maximum(np.fmin(t.crit, hi), lo), hi], axis=1)
+    total = np.zeros(a.size)
+    for seg in range(pts.shape[1] - 1):
+        p, q = pts[:, seg], pts[:, seg + 1]
+        midsign = t.sp(0.5 * (p + q)) < 0.0
+        w = 0.5 * (p + q)[:, None] + 0.5 * (q - p)[:, None] * _GL_X[None, :]
+        vals = dU(w) * t.sp(w)
+        integral = 0.5 * (q - p) * np.sum(_GL_W * vals, axis=-1)
+        total += np.where((q > p) & midsign, integral, 0.0)
+    return np.sign(b - a) * total
+
+
+# ---------------------------------------------------------------------------
+# cross-product fluxes
+# ---------------------------------------------------------------------------
+
+def cross_flux(phi_vec: Callable, name: str = "cross") -> FluxField:
+    """Flux f = n x Phi for an ambient vector function Phi(u, phi, theta) -> R^3.
+
+    Only the tangential part of Phi contributes; the result is tangent to the
+    sphere.  It carries neither ``g`` nor ``potential``."""
+
+    def f(u, phi, theta):
+        _, n_phi, n_theta = _sphere_normals(phi, theta)
+        return _cross_components(np.asarray(phi_vec(u, phi, theta), dtype=float),
+                                 n_phi, n_theta)
+
+    def f_u(u, phi, theta):
+        return _stencil(lambda d: f(u + d, phi, theta))
+
+    return FluxField(name=name, f=f, f_u=f_u)
+
+
+def embedded_flux(f: FluxField, u: float, phi: float, theta: float) -> np.ndarray:
+    """Ambient R^3 tangent vector of f(u, .) at a point."""
+    comp = np.asarray(f.f(u, phi, theta), dtype=float).reshape(2)
+    return geometry.embedded_vector(comp, phi, theta)
+
+
+# ---------------------------------------------------------------------------
+# smooth random data and chain-rule residuals
+# ---------------------------------------------------------------------------
 
 def smooth_scalar(coeffs):
     """Trigonometric scalar (phi, theta) -> R; smooth and 2pi-periodic."""

@@ -8,9 +8,7 @@ from spherefv import (
     DegenerateSampleError,
     InputError,
     VectorField,
-    cross_flux,
     divfree_residual,
-    embedded_flux,
     entropy_flux,
     from_potential,
     kruzkov_pair,
@@ -22,6 +20,7 @@ from spherefv import geometry
 from spherefv.flux import tangential_potential_gradient
 
 from conftest import random_points
+from identities import cross_flux, embedded_flux
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,12 @@ import pytest
 from spherefv import (
     ConfigError,
     ENGQUIST_OSHER,
+    EntropySpec,
     FLUX_KINDS,
     GODUNOV,
     LAX_FRIEDRICHS,
     build_latlon,
     cfl_timestep,
-    cross_flux,
     entropy_report,
     init_state,
     kruzkov_spec,
@@ -28,7 +28,7 @@ from spherefv import fvm
 from spherefv.fvm import FaceFluxTable, NumericalFlux
 from spherefv.mesh import MERIDIAN
 
-from identities import NodeAverageTable
+from identities import NodeAverageTable, cross_flux, eo_entropy_integral
 
 
 def _setup(kind=GODUNOV, n_phi=8, n_theta=4, flux_name="latitude_burgers",
@@ -729,5 +729,93 @@ def test_entropy_fluxes_match_pointwise_formulas_bitwise(path, kind):
         assert np.any(pick >= 2)                                   # critical-point winners
         G = t.entropy_average(spec.dU, w_star)
     else:
-        G = S_a + nf._eo_weighted_integral(spec.dU, a, b)
+        G = _eo_entropy_sorted_partition(nf, spec.dU, a, b, S_a, S_b)
     same(nf.smooth_fluxes(spec.U, spec.dU, decomp), (G, S_a, S_b))
+
+
+def _eo_entropy_sorted_partition(nf, dU, a, b, S_a, S_b):
+    """The Engquist-Osher entropy flux 1/2 (S_a+S_b) - 1/2 sgn(b-a)
+    sum sgn(Delta s) Delta S over a sorted partition built as in
+    :func:`_variation_sorted_partition`, with s and S evaluated at every
+    interior point (S column by column by ``entropy_average``)."""
+    t = nf.table
+    lo = np.minimum(a, b)[:, None]
+    hi = np.maximum(a, b)[:, None]
+    inner = np.sort(np.clip(np.nan_to_num(t.crit, nan=t.box[0]), lo, hi), axis=1)
+
+    def at_points(v_a, v_b, v_inner):
+        v_lo = np.where(a <= b, v_a, v_b)[:, None]
+        v_hi = np.where(a <= b, v_b, v_a)[:, None]
+        v_inner = np.where(inner == hi, v_hi, np.where(inner == lo, v_lo, v_inner))
+        return np.concatenate([v_lo, v_inner, v_hi], axis=1)
+
+    s_pts = at_points(t.s(a), t.s(b), t.s(inner))
+    S_inner = np.empty_like(inner)
+    for j in range(inner.shape[1]):
+        S_inner[:, j] = t.entropy_average(dU, inner[:, j])
+    S_pts = at_points(S_a, S_b, S_inner)
+    tv_S = np.sum(np.sign(np.diff(s_pts, axis=1)) * np.diff(S_pts, axis=1), axis=1)
+    return 0.5 * (S_a + S_b) - 0.5 * np.sign(b - a) * tv_S
+
+
+# The solver's two face paths.  The node-average oracle is left out: its s'
+# averages a finite-difference f_u, whose rounding noise makes two 24-point
+# rules over different intervals differ by up to 1.1e-14 relative at 8x4 (its
+# EO entropy flux is checked bitwise above).
+@pytest.mark.parametrize("path", ["separable", "vertex", "vertex-6-columns"])
+def test_eo_entropy_flux_matches_segment_quadrature(path):
+    # the partition sum with S in place of s against S(a) plus the
+    # per-segment quadrature of U' min(s', 0) (tests/identities.py)
+    if path == "vertex-6-columns":
+        mesh = build_latlon(12, 6, 0.3)
+        table, flux = FaceFluxTable, make_flux("potential", {"a": "sin(7*u)*n3"})
+    else:
+        mesh = build_latlon(8, 4, 0.3)
+        table, flux = ENTROPY_TABLES[path]
+    box = (-1.5, 1.5)
+    nf = NumericalFlux(kind=ENGQUIST_OSHER, table=table(mesh, flux, box))
+    state = init_state(mesh, lambda phi, theta: 0.0 * phi)
+    state.u = np.random.default_rng(55).uniform(-1.2, 1.2, mesh.n_cells)
+    state.tau = cfl_timestep(mesh, flux, nf, box, 0.5)
+    _, decomp = step(state, flux, nf)
+    quartic = EntropySpec(kind="smooth", name="quartic", U=lambda u: 0.25 * u ** 4,
+                          dU=lambda u: u ** 3)
+    for spec in (square_spec(), quartic):
+        G, S_a, _ = nf.smooth_fluxes(spec.U, spec.dU, decomp)
+        reference = S_a + eo_entropy_integral(nf, spec.dU, decomp.u_left, decomp.u_right)
+        assert np.abs(G - reference).max() <= 1e-14 * np.abs(reference).max()
+
+
+def test_eo_step_takes_critical_values_from_the_table(monkeypatch):
+    # a plain EO step evaluates s only at the two face states (s at a
+    # critical point is crit_s); a monitored separable EO step takes S at the
+    # roots of g_u from Phi and evaluates no s'
+    s = FaceFluxTable.s
+    calls = []
+
+    def counted_s(self, u):
+        calls.append(np.shape(u))
+        return s(self, u)
+
+    def forbidden_sp(self, u):
+        raise AssertionError("s' evaluated during a monitored separable EO step")
+
+    monkeypatch.setattr(FaceFluxTable, "s", counted_s)
+    mesh = build_latlon(8, 4, 0.3)
+    box = (-1.5, 1.5)
+    for flux in (make_flux("latitude_burgers", {"c_expr": "sin(theta)"}),
+                 make_flux("potential", {"a": POTENTIALS[0]})):
+        nf = make_numerical_flux(ENGQUIST_OSHER, mesh, flux, box=box)
+        assert nf.table.crit.shape[1] >= 1
+        state = _initial(mesh)
+        state.tau = cfl_timestep(mesh, flux, nf, box, 0.5)
+        calls.clear()
+        step(state, flux, nf, need_decomposition=False)
+        assert calls == [(mesh.n_faces,)] * 2
+    monkeypatch.setattr(FaceFluxTable, "sp", forbidden_sp)
+    mesh, flux, nf, tau = _setup(ENGQUIST_OSHER)
+    state = _initial(mesh)
+    state.tau = tau
+    _, decomp = step(state, flux, nf)
+    for spec in (square_spec(), kruzkov_spec(0.0)):
+        entropy_report(nf, decomp, spec)
