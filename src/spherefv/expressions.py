@@ -1,18 +1,22 @@
 """Tiny arithmetic expression grammar for flux potentials and initial data.
 
 Supported syntax: ``+ - * / ^`` (``**`` is accepted as a synonym for ``^``),
-parentheses, unary minus, ``sin``/``cos``, numeric literals, the constant
+parentheses, unary minus, ``sin``/``cos``, decimal literals, the constant
 ``pi``, and a caller-supplied set of symbols (e.g. ``u, n1, n2, n3`` for a
-flux potential, ``phi, theta, n1, n2, n3`` for initial data).
+flux potential, ``phi, theta, n1, n2, n3`` for initial data).  The grammar is
+a subset of Python's expression syntax: Python's parser reads it, and a
+whitelist walk turns the accepted nodes into a small tuple tree and refuses
+every other node, so no formula text is ever executed.
 
-Compiled expressions evaluate with numpy broadcasting over array inputs.
-:func:`differentiate` gives the exact partial derivative of a parsed
+Compiled expressions evaluate the tree with numpy broadcasting over array
+inputs.  :func:`differentiate` gives the exact partial derivative of a parsed
 expression as another expression tree, so a flux potential a(u, n) yields its
 a_u without a finite-difference stencil.
 """
 
 from __future__ import annotations
 
+import ast
 import math
 import re
 from typing import Callable, Iterable, Mapping
@@ -21,116 +25,21 @@ import numpy as np
 
 from .errors import ConfigError
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>\*\*|[-+*/^()]))"
-)
-
 _FUNCTIONS = {"sin": np.sin, "cos": np.cos}
 # evaluable calls: the parser's functions plus ``log``, which only
 # :func:`differentiate` produces (for a power with a variable exponent)
 _CALLS = {**_FUNCTIONS, "log": np.log}
 
-
-def _tokenize(text: str) -> list[tuple[str, str]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ConfigError(f"unexpected character {text[pos]!r} at position {pos} in expression {text!r}")
-        if m.group("num") is not None:
-            tokens.append(("num", m.group("num")))
-        elif m.group("name") is not None:
-            tokens.append(("name", m.group("name")))
-        else:
-            op = m.group("op")
-            tokens.append(("op", "^" if op == "**" else op))
-        pos = m.end()
-    return tokens
-
-
-class _Parser:
-    """Recursive descent over: expr -> term (+|- term)*; term -> unary (*|/ unary)*;
-    unary -> - unary | power; power -> atom (^ unary)?; atom -> num | name | name(expr) | (expr)."""
-
-    def __init__(self, tokens: list[tuple[str, str]], symbols: frozenset[str], source: str):
-        self.tokens = tokens
-        self.i = 0
-        self.symbols = symbols
-        self.source = source
-
-    def _peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else (None, None)
-
-    def _next(self):
-        tok = self._peek()
-        self.i += 1
-        return tok
-
-    def _expect_op(self, op: str):
-        kind, val = self._next()
-        if kind != "op" or val != op:
-            raise ConfigError(f"expected {op!r} in expression {self.source!r}")
-
-    def parse(self):
-        node = self.expr()
-        if self.i != len(self.tokens):
-            raise ConfigError(f"trailing input in expression {self.source!r}")
-        return node
-
-    def expr(self):
-        node = self.term()
-        while self._peek() == ("op", "+") or self._peek() == ("op", "-"):
-            _, op = self._next()
-            rhs = self.term()
-            node = (("add" if op == "+" else "sub"), node, rhs)
-        return node
-
-    def term(self):
-        node = self.unary()
-        while self._peek() == ("op", "*") or self._peek() == ("op", "/"):
-            _, op = self._next()
-            rhs = self.unary()
-            node = (("mul" if op == "*" else "div"), node, rhs)
-        return node
-
-    def unary(self):
-        if self._peek() == ("op", "-"):
-            self._next()
-            return ("neg", self.unary())
-        return self.power()
-
-    def power(self):
-        base = self.atom()
-        if self._peek() == ("op", "^"):
-            self._next()
-            return ("pow", base, self.unary())
-        return base
-
-    def atom(self):
-        kind, val = self._next()
-        if kind == "num":
-            return ("const", float(val))
-        if kind == "name":
-            if val == "pi":
-                return ("const", math.pi)
-            if val in _FUNCTIONS:
-                self._expect_op("(")
-                arg = self.expr()
-                self._expect_op(")")
-                return ("call", val, arg)
-            if val in self.symbols:
-                return ("sym", val)
-            raise ConfigError(
-                f"unknown symbol {val!r} in expression {self.source!r}; allowed: {sorted(self.symbols)}"
-            )
-        if (kind, val) == ("op", "("):
-            node = self.expr()
-            self._expect_op(")")
-            return node
-        raise ConfigError(f"unexpected token in expression {self.source!r}")
+# a character outside the grammar (a ``#`` that Python would read as a
+# comment, a comma, a quote, non-ASCII text) is refused before parsing; the
+# parsed text is then ASCII, so a node's column offset is its character index
+_BAD_CHAR_RE = re.compile(r"[^A-Za-z0-9_.+\-*/^()\s]")
+# decimal literals only: Python also reads 0x10, 1_000 and 1j as numbers
+_LITERAL_RE = re.compile(r"\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?")
+_BINOPS = {ast.Add: "add", ast.Sub: "sub", ast.Mult: "mul", ast.Div: "div", ast.Pow: "pow"}
+# deepest tree accepted (a sum of 200 terms is 200 levels deep), so that
+# the recursive evaluator and :func:`differentiate` stay well inside the stack
+_MAX_DEPTH = 200
 
 
 def _evaluate(node, env: Mapping[str, np.ndarray]):
@@ -284,8 +193,48 @@ def differentiate(node, symbol: str):
 # ---------------------------------------------------------------------------
 
 def parse_expression(text: str, symbols: Iterable[str]):
-    """Parse ``text`` into an expression tree over the given symbols."""
-    return _Parser(_tokenize(text), frozenset(symbols), text).parse()
+    """Parse ``text`` into an expression tree over the given symbols.
+
+    Python's parser reads the text (``^`` spelled ``**``, whitespace
+    collapsed); the walk below maps the whitelisted nodes onto the tree and
+    raises :class:`ConfigError` for every other node."""
+    bad = _BAD_CHAR_RE.search(text)
+    if bad is not None:
+        raise ConfigError(f"unexpected character {bad.group()!r} at position {bad.start()} "
+                          f"in expression {text!r}")
+    source = " ".join(text.replace("^", "**").split())
+    try:
+        body = ast.parse(source, mode="eval").body
+    except SyntaxError as exc:
+        raise ConfigError(f"{exc.msg} in expression {text!r}") from None
+    except (RecursionError, MemoryError):       # the parser's own stack limits
+        raise ConfigError(f"expression {text!r} is nested too deeply") from None
+    symbols = frozenset(symbols)
+
+    def tree(node, depth):
+        if depth > _MAX_DEPTH:
+            raise ConfigError(f"expression {text!r} is nested deeper than {_MAX_DEPTH} levels")
+        if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
+            return (_BINOPS[type(node.op)], tree(node.left, depth + 1), tree(node.right, depth + 1))
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            return ("neg", tree(node.operand, depth + 1))
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in _FUNCTIONS and len(node.args) == 1 and not node.keywords):
+            return ("call", node.func.id, tree(node.args[0], depth + 1))
+        segment = source[node.col_offset:node.end_col_offset]
+        if (isinstance(node, ast.Constant) and type(node.value) in (int, float)
+                and _LITERAL_RE.fullmatch(segment)):
+            return ("const", float(segment))
+        if isinstance(node, ast.Name):
+            if node.id == "pi":
+                return ("const", math.pi)
+            if node.id in symbols:
+                return ("sym", node.id)
+            raise ConfigError(f"unknown symbol {node.id!r} in expression {text!r}; "
+                              f"allowed: {sorted(symbols)}")
+        raise ConfigError(f"unsupported {segment!r} in expression {text!r}")
+
+    return tree(body, 1)
 
 
 def compile_node(node, symbols: Iterable[str], source: str) -> Callable[..., np.ndarray]:

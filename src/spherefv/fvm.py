@@ -231,27 +231,27 @@ class FaceFluxTable:
 
     # -- entropy-flux averages -------------------------------------------------
 
-    def entropy_average(self, dU: Callable, u, u_ref: float = 0.0):
+    def entropy_average(self, dU: Callable, u):
         """Face average of the entropy flux: integral of U'(w) s_e'(w) dw from
-        ``u_ref`` to ``u`` (24-point Gauss-Legendre), per face.  For a
-        separable flux this is c_e times :meth:`separable_entropy`."""
+        0 to ``u`` (24-point Gauss-Legendre), per face.  For a separable flux
+        this is c_e times :meth:`separable_entropy`."""
         u = np.asarray(u, dtype=float)
         if u.ndim == 0:
             u = np.full(self.n_faces, float(u))
         if self.c is not None:
-            return self.c * self.separable_entropy(dU, u, u_ref)
-        half = 0.5 * (u - u_ref)
-        mid = 0.5 * (u + u_ref)
+            return self.c * self.separable_entropy(dU, u)
+        half = 0.5 * u
+        mid = 0.5 * (u + 0.0)       # the midpoint of [0, u], +0.0 at u = -0.0
         w = mid[:, None] + half[:, None] * _GL_X[None, :]          # (F, 24)
         vals = dU(w) * self.sp(w)
         return half * np.sum(_GL_W * vals, axis=-1)
 
-    def separable_entropy(self, dU: Callable, u, u_ref: float = 0.0):
-        """Phi(u): integral of U'(w) g_u(w) dw from ``u_ref`` to ``u``
-        (24-point Gauss-Legendre), elementwise over the states ``u``; the
-        separable entropy-flux average is c_e Phi."""
-        half = 0.5 * (u - u_ref)
-        mid = 0.5 * (u + u_ref)
+    def separable_entropy(self, dU: Callable, u):
+        """Phi(u): integral of U'(w) g_u(w) dw from 0 to ``u`` (24-point
+        Gauss-Legendre), elementwise over the states ``u``; the separable
+        entropy-flux average is c_e Phi."""
+        half = 0.5 * u
+        mid = 0.5 * (u + 0.0)       # the midpoint of [0, u], +0.0 at u = -0.0
         # node by node, in reused buffers that stay in cache
         total = np.zeros_like(u)
         w = np.empty_like(u)

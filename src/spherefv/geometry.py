@@ -1,11 +1,10 @@
 """Chart-based Riemannian primitives and the concrete spherical chart.
 
 A :class:`Chart` carries the metric tensor, its inverse, the volume weight
-``sqrt(det g)`` and (optionally) analytic metric derivatives over a coordinate
-box.  On top of it live the classical differential operators: Christoffel
-symbols, divergence, gradient, Laplace-Beltrami, Lie bracket, and the Lie
-derivative of the metric.  Derivatives fall back to 4th-order centered finite
-differences when no analytic formula is supplied.
+``sqrt(det g)`` and the analytic metric derivatives.  On top of it live the
+classical differential operators: Christoffel symbols, divergence, gradient,
+Laplace-Beltrami, Lie bracket, and the Lie derivative of the metric.
+Derivatives of fields use 4th-order centered finite differences.
 
 The sphere is covered by the standard longitude/colatitude chart (phi, theta)
 with metric diag(sin^2 theta, 1); a small band around each pole is excluded
@@ -54,39 +53,30 @@ def fd_gradient(func: Callable[[np.ndarray], float], x: np.ndarray,
 class Chart:
     """A coordinate patch with metric data.
 
-    ``metric(x)`` returns the d x d matrix g_ij; ``metric_derivative(x)``, when
-    supplied, returns the array D[k, i, j] = d g_ij / d x^k.  ``is_singular``
-    flags points where the chart degenerates (operations raise there).
+    ``metric(x)`` returns the d x d matrix g_ij, ``metric_inverse(x)`` its
+    inverse, ``sqrt_det(x)`` the volume weight and ``metric_derivative(x)`` the
+    array D[k, i, j] = d g_ij / d x^k.  ``is_singular`` flags points where the
+    chart degenerates (operations raise there).
     """
 
     dim: int
     metric: Callable[[np.ndarray], np.ndarray]
-    domain_lo: tuple
-    domain_hi: tuple
-    periodic: tuple
-    metric_inverse: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    sqrt_det: Optional[Callable[[np.ndarray], float]] = None
-    metric_derivative: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    metric_inverse: Callable[[np.ndarray], np.ndarray]
+    sqrt_det: Callable[[np.ndarray], float]
+    metric_derivative: Callable[[np.ndarray], np.ndarray]
     is_singular: Optional[Callable[[np.ndarray], bool]] = None
     singular_message: str = "chart-singular point"
     fd_step: float = DEFAULT_FD_STEP
 
     def metric_inv_at(self, x: np.ndarray) -> np.ndarray:
-        if self.metric_inverse is not None:
-            return np.asarray(self.metric_inverse(x), dtype=float)
-        return np.linalg.inv(self.metric(x))
+        return np.asarray(self.metric_inverse(x), dtype=float)
 
     def sqrt_det_at(self, x: np.ndarray) -> float:
-        if self.sqrt_det is not None:
-            return float(self.sqrt_det(x))
-        return math.sqrt(np.linalg.det(self.metric(x)))
+        return float(self.sqrt_det(x))
 
     def metric_derivative_at(self, x: np.ndarray) -> np.ndarray:
-        """D[k, i, j] = d g_ij / d x^k, analytic when available."""
-        if self.metric_derivative is not None:
-            return np.asarray(self.metric_derivative(x), dtype=float)
-        x = np.asarray(x, dtype=float)
-        return np.array([fd_partial(self.metric, x, k, self.fd_step) for k in range(self.dim)])
+        """D[k, i, j] = d g_ij / d x^k."""
+        return np.asarray(self.metric_derivative(x), dtype=float)
 
     def check_interior(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -125,9 +115,6 @@ def sphere_chart(pole_band: float = DEFAULT_POLE_BAND) -> Chart:
     return Chart(
         dim=2,
         metric=metric,
-        domain_lo=(0.0, 0.0),
-        domain_hi=(2 * math.pi, math.pi),
-        periodic=(True, False),
         metric_inverse=metric_inverse,
         sqrt_det=sqrt_det,
         metric_derivative=metric_derivative,
@@ -136,16 +123,13 @@ def sphere_chart(pole_band: float = DEFAULT_POLE_BAND) -> Chart:
     )
 
 
-def euclidean_chart(dim: int = 2, extent: float = 10.0) -> Chart:
+def euclidean_chart(dim: int = 2) -> Chart:
     """Flat chart with the identity metric (regression baseline)."""
     eye = np.eye(dim)
 
     return Chart(
         dim=dim,
         metric=lambda x: eye.copy(),
-        domain_lo=tuple([-extent] * dim),
-        domain_hi=tuple([extent] * dim),
-        periodic=tuple([False] * dim),
         metric_inverse=lambda x: eye.copy(),
         sqrt_det=lambda x: 1.0,
         metric_derivative=lambda x: np.zeros((dim, dim, dim)),

@@ -144,3 +144,9 @@ def test_unknown_initial_and_tv_field(tmp_path):
     cfg2 = _write_config(tmp_path / "c2.json",
                          diagnostics={"tv_fields": ["dtheta"], "entropies": []})
     assert main(["run", cfg2]) == 2
+
+
+def test_deep_initial_expression_exit_2(tmp_path):
+    cfg = _write_config(tmp_path / "c.json",
+                        initial={"expression": "(" * 300 + "n3" + ")" * 300})
+    assert main(["run", cfg]) == 2

@@ -45,6 +45,63 @@ def test_unknown_symbol_rejected():
         compile_expression("u) (", ["u"])
 
 
+U, N1, N3 = ("sym", "u"), ("sym", "n1"), ("sym", "n3")
+
+
+@pytest.mark.parametrize("text, tree", [
+    ("u-n1-n3", ("sub", ("sub", U, N1), N3)),
+    ("u/n1/n3", ("div", ("div", U, N1), N3)),
+    ("-u^2", ("neg", ("pow", U, ("const", 2.0)))),
+    ("2^3^2", ("pow", ("const", 2.0), ("pow", ("const", 3.0), ("const", 2.0)))),
+    ("2^-u", ("pow", ("const", 2.0), ("neg", U))),
+    ("u*-n1", ("mul", U, ("neg", N1))),
+    ("u**2", ("pow", U, ("const", 2.0))),
+    ("sin(u) + cos(n1)", ("add", ("call", "sin", U), ("call", "cos", N1))),
+    ("1e-3", ("const", 1e-3)),
+    (".5", ("const", 0.5)),
+    ("3.", ("const", 3.0)),
+    ("2.5E+2", ("const", 250.0)),
+    ("pi", ("const", math.pi)),
+    (" \tu\n ", U),
+])
+def test_parse_tree_pins(text, tree):
+    assert parse_expression(text, ["u", "n1", "n3"]) == tree
+
+
+@pytest.mark.parametrize("text", [
+    "+u", "2pi", "0x10", "1_000", "1j", "True", "u % 2", "u // 2", "u.real",
+    "u[0]", "(u)(u)", "sin(u, u)", "sin", "__import__('os')", "u; u", "'a'",
+    "u, u", "u == 1", "u if u else u", "not u", "\u03b8", "u\x00",
+    "u*n3 # + 0.3*u^2*n1",
+])
+def test_outside_the_grammar_rejected(text):
+    with pytest.raises(ConfigError):
+        compile_expression(text, ["u", "n1", "n3"])
+
+
+def test_trailing_whitespace_accepted():
+    f = compile_expression("u*n3 + 0.3*u^2*n1 ", ["u", "n1", "n3"])
+    assert f(u=2.0, n1=1.0, n3=0.5) == 2.0 * 0.5 + 0.3 * 4.0
+
+
+@pytest.mark.parametrize("text", [
+    "(" * 300 + "n3" + ")" * 300,
+    "+".join(["u"] * 1200),
+    "+".join(["u"] * 980),
+    "-" * 201 + "u",
+], ids=["300-parentheses", "1200-term-sum", "980-term-sum", "201-minus-chain"])
+def test_deep_formulas_rejected(text):
+    with pytest.raises(ConfigError):
+        compile_expression(text, ["u", "n3"])
+
+
+def test_depth_limit_is_200_levels():
+    node = parse_expression("+".join(["u"] * 200), ["u"])
+    np.testing.assert_array_equal(compile_node(node, ["u"], "")(u=np.ones(3)), 200.0)
+    with pytest.raises(ConfigError, match="deeper than 200"):
+        parse_expression("+".join(["u"] * 201), ["u"])
+
+
 def test_source_attribute():
     f = compile_expression("u*2", ["u"])
     assert f.source == "u*2"
