@@ -11,7 +11,8 @@ every other node, so no formula text is ever executed.
 Compiled expressions evaluate the tree with numpy broadcasting over array
 inputs.  :func:`differentiate` gives the exact partial derivative of a parsed
 expression as another expression tree, so a flux potential a(u, n) yields its
-a_u without a finite-difference stencil.
+a_u without a finite-difference stencil.  :func:`split_terms` writes an
+expression as a sum of products g_j(u) X_j(n) when it is one.
 """
 
 from __future__ import annotations
@@ -79,17 +80,16 @@ def _is_const(node, value: float) -> bool:
     return node[0] == "const" and node[1] == value
 
 
-def _depends(node, symbol: str) -> bool:
+def _symbols(node) -> set:
+    """The names of the symbols in an expression tree."""
     tag = node[0]
     if tag == "const":
-        return False
+        return set()
     if tag == "sym":
-        return node[1] == symbol
-    if tag == "neg":
-        return _depends(node[1], symbol)
-    if tag == "call":
-        return _depends(node[2], symbol)
-    return _depends(node[1], symbol) or _depends(node[2], symbol)
+        return {node[1]}
+    if tag in ("neg", "call"):
+        return _symbols(node[-1])
+    return _symbols(node[1]) | _symbols(node[2])
 
 
 # node constructors that fold the zeros, ones and constants a derivative
@@ -153,7 +153,7 @@ def differentiate(node, symbol: str):
 
     A power a^b follows the power rule b a^(b-1) a' when b does not depend
     on ``symbol``, and a^b (b' log a + b a'/a) otherwise."""
-    if not _depends(node, symbol):
+    if symbol not in _symbols(node):
         return _ZERO
     tag = node[0]
     if tag == "sym":
@@ -186,6 +186,60 @@ def differentiate(node, symbol: str):
             return _mul(_mul(b, _pow(a, _sub(b, _ONE))), da)
         return _mul(node, _add(_mul(db, ("call", "log", a)), _div(_mul(b, da), a)))
     raise AssertionError(f"unknown node {tag}")
+
+
+# ---------------------------------------------------------------------------
+# splitting into separable terms
+# ---------------------------------------------------------------------------
+
+def split_terms(node):
+    """Split an expression into a sum of products g_j(u) X_j(others).
+
+    The tree is split at its top-level ``+``, ``-`` and unary minus into
+    terms, and each term's ``*``/``/`` factors into those in u only (g_j)
+    and those free of u (X_j, constants and the term's sign included).
+    Returns the list of (g_j, X_j) trees, whose sum equals the expression up
+    to rounding, or None when a factor depends on both, as in ``sin(u*n1)``,
+    ``u^n1`` or ``(u + n1)^2``.  A term free of u has g_j = 1."""
+    terms = []
+
+    def factors(node, denominator, parts):
+        names = _symbols(node)
+        if "u" not in names or names == {"u"}:
+            parts["u" in names].append((node, denominator))
+            return True
+        tag = node[0]
+        if tag == "neg":
+            parts[False].append((("const", -1.0), False))
+            return factors(node[1], denominator, parts)
+        if tag in ("mul", "div"):
+            return (factors(node[1], denominator, parts)
+                    and factors(node[2], denominator != (tag == "div"), parts))
+        return False
+
+    def product(parts):
+        num = den = _ONE
+        for factor, denominator in parts:
+            if denominator:
+                den = _mul(den, factor)
+            else:
+                num = _mul(num, factor)
+        return _div(num, den)
+
+    def split(node, negative):
+        tag = node[0]
+        if tag in ("add", "sub"):
+            return split(node[1], negative) and split(node[2], negative != (tag == "sub"))
+        if tag == "neg":
+            return split(node[1], not negative)
+        parts = {True: [], False: []}
+        if not factors(node, False, parts):
+            return False
+        X = product(parts[False])
+        terms.append((product(parts[True]), _neg(X) if negative else X))
+        return True
+
+    return terms if split(node, False) else None
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Flux fields f(u, x) on the sphere.
 
-Provides separable fluxes f(u, x) = g(u) X(x), construction from scalar
-potentials (automatically divergence-free, in the cross-product form
-f = n x Phi), entropy pairs (smooth and Kruzkov), divergence residuals, and
+Provides fluxes that are sums of separable terms f(u, x) = sum_j g_j(u) X_j(x),
+construction from scalar potentials (automatically divergence-free, in the
+cross-product form f = n x Phi), entropy pairs (smooth and Kruzkov), divergence residuals, and
 the compatibility checks that decide whether total variation along a vector
 field X is non-increasing.
 
@@ -15,14 +15,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 from scipy.integrate import quad_vec
 
 from . import geometry
 from .errors import ConfigError, DegenerateSampleError, InputError
-from .expressions import compile_expression, compile_node, differentiate, parse_expression
+from .expressions import (compile_expression, compile_node, differentiate, parse_expression,
+                          split_terms)
 
 _FD_STEP = 1e-3
 
@@ -37,6 +38,17 @@ def _stencil(shifted: Callable, step: float = _FD_STEP):
 # flux fields
 # ---------------------------------------------------------------------------
 
+class Term(NamedTuple):
+    """One term g(u) X(phi, theta) of a flux f = sum_j g_j(u) X_j: ``g`` and
+    ``g_u`` elementwise in u, ``X`` as ``f`` without u; a split potential's
+    term also has the ``potential`` A(n1, n2, n3) with X = n x grad A."""
+
+    g: Callable
+    g_u: Callable
+    X: Callable
+    potential: Optional[Callable] = None
+
+
 @dataclass(frozen=True)
 class FluxField:
     """The map (u, x) -> f(u, x) in intrinsic sphere components.
@@ -44,11 +56,10 @@ class FluxField:
     ``f`` and ``f_u`` take ``(u, phi, theta)`` with numpy broadcasting and
     return shape ``(2,) + broadcast``.  ``potential`` holds the scalar
     a(u, n1, n2, n3) when the flux was built from one, and ``potential_u``
-    its derivative a_u in u (both vectorized; set together); f_u is then
-    n x (tangential gradient of a_u).  A separable flux
-    f(u, x) = g(u) X(x) (see :func:`separable`) also carries ``g``, its
-    derivative ``g_u`` (both elementwise in u) and the field
-    ``X(phi, theta)`` of shape ``(2,) + broadcast``.
+    its derivative a_u in u (both vectorized; set together).  A flux that is
+    a sum f = sum_j g_j(u) X_j(x) carries its ``terms`` (:class:`Term`): one
+    for a separable flux (:func:`separable`), one per product for a registry
+    potential that splits (:func:`make_flux`).
     """
 
     name: str
@@ -56,9 +67,7 @@ class FluxField:
     f_u: Callable
     potential: Optional[Callable] = None
     potential_u: Optional[Callable] = None
-    g: Optional[Callable] = None
-    g_u: Optional[Callable] = None
-    X: Optional[Callable] = None
+    terms: tuple = ()
 
     def f_u_field(self, u: float) -> geometry.VectorField:
         """The frozen-state wave-speed field x -> f_u(u, x)."""
@@ -92,21 +101,32 @@ def divfree_residual(f: FluxField, u: float, sample, step: float = _FD_STEP) -> 
 # construction: separable fluxes, potentials
 # ---------------------------------------------------------------------------
 
+def _from_terms(name: str, terms: Sequence[Term], **fields) -> FluxField:
+    """Flux f = sum_j g_j(u) X_j and f_u = sum_j g_j'(u) X_j, the terms
+    added in order, each X_j taken once over broadcast(phi, theta)."""
+
+    def term_sum(derivative: bool):
+        def field(u, phi, theta):
+            u = np.asarray(u, dtype=float)
+            phi, theta = np.broadcast_arrays(phi, theta)
+            total = None
+            for term in terms:
+                X = _lift(np.asarray(term.X(phi, theta)), max(u.ndim, phi.ndim) + 1)
+                value = (term.g_u if derivative else term.g)(u) * X
+                total = value if total is None else total + value
+            return total
+        return field
+
+    return FluxField(name=name, f=term_sum(False), f_u=term_sum(True),
+                     terms=tuple(terms), **fields)
+
+
 def separable(name: str, g: Callable, g_u: Callable, X: Callable) -> FluxField:
-    """Flux f(u, x) = g(u) X(x), with f_u = g_u(u) X(x).
+    """Flux f(u, x) = g(u) X(x), with f_u = g_u(u) X(x): one :class:`Term`.
 
     ``g`` and ``g_u`` act elementwise on state arrays; ``X(phi, theta)``
     returns the intrinsic components, shape ``(2,) + broadcast``."""
-
-    def f(u, phi, theta):
-        u, phi, theta = np.broadcast_arrays(np.asarray(u, dtype=float), phi, theta)
-        return g(u) * X(phi, theta)
-
-    def f_u(u, phi, theta):
-        u, phi, theta = np.broadcast_arrays(np.asarray(u, dtype=float), phi, theta)
-        return g_u(u) * X(phi, theta)
-
-    return FluxField(name=name, f=f, f_u=f_u, g=g, g_u=g_u, X=X)
+    return _from_terms(name, [Term(g, g_u, X)])
 
 
 def _sphere_normals(phi, theta):
@@ -155,7 +175,8 @@ def from_potential(a: Callable, name: str = "potential", step: float = _FD_STEP,
     Such fluxes are automatically divergence-free at every frozen state.
     ``a_u``, with the same signature, is the derivative of ``a`` in u; without
     it a finite-difference stencil in u stands in.  f_u is formed from
-    ``a_u`` as f is from ``a`` (d/du commutes with the tangential gradient)."""
+    ``a_u`` as f is from ``a`` (d/du commutes with the tangential gradient),
+    by a stencil in space.  The flux carries no terms (the vertex path)."""
     if a_u is None:
         def a_u(u, n1, n2, n3):
             return _stencil(lambda d: a(u + d, n1, n2, n3))
@@ -168,6 +189,34 @@ def from_potential(a: Callable, name: str = "potential", step: float = _FD_STEP,
 
     return FluxField(name=name, f=cross_gradient(a), f_u=cross_gradient(a_u),
                      potential=a, potential_u=a_u)
+
+
+def _state_function(node) -> Callable:
+    """The elementwise function of u given by a tree in u (u's shape also
+    where the tree is constant)."""
+    func = compile_node(node, ["u"], "")
+
+    def g(u):
+        value = func(u=u)
+        return value if np.shape(value) == np.shape(u) else np.broadcast_to(value, np.shape(u))
+    return g
+
+
+def _potential_term(g, A) -> Term:
+    """The term g(u) (n x grad A(n)) of a split potential, from the trees of
+    g and A, with the exact gradient of A (:func:`differentiate`)."""
+    normal = ["n1", "n2", "n3"]
+    grad = [compile_node(differentiate(A, symbol), normal, "") for symbol in normal]
+    potential = compile_node(A, normal, "")
+
+    def field(phi, theta):
+        n, n_phi, n_theta = _sphere_normals(phi, theta)
+        vec = np.stack([np.broadcast_to(d(n1=n[0], n2=n[1], n3=n[2]), n.shape[1:])
+                        for d in grad])
+        return _cross_components(vec, n_phi, n_theta)
+
+    return Term(g=_state_function(g), g_u=_state_function(differentiate(g, "u")), X=field,
+                potential=lambda n1, n2, n3: potential(n1=n1, n2=n2, n3=n3))
 
 
 def tangential_potential_gradient(a: Callable, u, phi, theta, step: float = _FD_STEP):
@@ -328,7 +377,10 @@ def tvd_compatibility(f: FluxField, X: geometry.VectorField,
 # ---------------------------------------------------------------------------
 
 def make_flux(name: str, params: Optional[dict] = None) -> FluxField:
-    """Build a flux from the registry: solid_rotation, latitude_burgers, potential."""
+    """Build a flux from the registry: solid_rotation, latitude_burgers, potential.
+
+    A potential that :func:`split_terms` splits becomes a sum of terms with
+    exact gradients; any other goes to :func:`from_potential`."""
     params = dict(params or {})
     if name == "solid_rotation":
         omega = float(params.pop("omega", 1.0))
@@ -359,12 +411,16 @@ def make_flux(name: str, params: Optional[dict] = None) -> FluxField:
         if params:
             raise ConfigError(f"unknown potential parameters: {sorted(params)}")
         symbols = ["u", "n1", "n2", "n3"]
+        node = parse_expression(a_expr, symbols)
         a_func = compile_expression(a_expr, symbols)
-        a_u_func = compile_node(differentiate(parse_expression(a_expr, symbols), "u"),
-                                symbols, f"d/du[{a_expr}]")
-        return from_potential(lambda u, n1, n2, n3: a_func(u=u, n1=n1, n2=n2, n3=n3),
-                              name=f"potential[{a_expr}]",
-                              a_u=lambda u, n1, n2, n3: a_u_func(u=u, n1=n1, n2=n2, n3=n3))
+        a_u_func = compile_node(differentiate(node, "u"), symbols, f"d/du[{a_expr}]")
+        fields = dict(name=f"potential[{a_expr}]",
+                      potential=lambda u, n1, n2, n3: a_func(u=u, n1=n1, n2=n2, n3=n3),
+                      potential_u=lambda u, n1, n2, n3: a_u_func(u=u, n1=n1, n2=n2, n3=n3))
+        terms = split_terms(node)
+        if terms is None:
+            return from_potential(fields["potential"], fields["name"], a_u=fields["potential_u"])
+        return _from_terms(terms=[_potential_term(g, X) for g, X in terms], **fields)
 
     raise ConfigError(
         f"unknown flux {name!r}; registry: solid_rotation, latitude_burgers, potential")

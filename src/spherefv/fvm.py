@@ -17,28 +17,31 @@ box, which makes consistency exact and monotonicity hold to rounding:
 The restriction s_e is formed in one of two ways, chosen by what the flux
 carries; a flux that carries neither is rejected with ``ConfigError``:
 
-- *separable.*  For f(u, x) = g(u) X(x) -- the registry's ``solid_rotation``
-  (g = u) and ``latitude_burgers`` (g = u^2/2) -- s_e(u) = g(u) c_e with
-  c_e = (1/|e|) int_e g(X, n_e) dv_e, computed once per face by the mesh's
-  3-node face quadrature.  Then s_e' = g_u c_e, the critical points are the
-  roots of g_u (found once, shared by all faces), sup |s_e'| =
-  |c_e| max |g_u|, and the entropy-flux average is c_e Phi(u), with
-  Phi(u) the scalar integral of U' g_u from 0 to u.  No step evaluates f,
-  and the table needs O(faces) memory.
-- *vertex potential.*  For f = n x grad a, given by a potential a(u, n), the
-  flux through a face is the tangential derivative of a along it, so
-  s_e(u) = [a(u, end) - a(u, start)] / |e| exactly, with the face's ends
-  in the mesh's ``face_vertices`` order, and s_e' is the same difference of
-  the exact a_u.  Every frozen constant state then has zero discrete
-  divergence up to rounding (the geometry-compatible discretization of
-  Ben-Artzi, Falcovitz and LeFloch, J. Comput. Phys. 228, 2009).  The
-  critical points are scanned per face, two a_u evaluations per scan point.
+- *coefficient table.*  For a sum of terms f = sum_j g_j(u) X_j(x),
+  s_e(u) = sum_j g_j(u) D_ej with per-face coefficients D computed once, so
+  no step evaluates f or an expression in x.  A separable flux (the
+  registry's ``solid_rotation`` and ``latitude_burgers``) is J = 1, with
+  D_e1 = (1/|e|) int_e g(X, n_e) dv_e by the mesh's 3-node face quadrature;
+  its critical points are the roots of g_1', shared by every face.  A
+  potential that splits, a = sum_j g_j(u) A_j(n), has
+  D_ej = [A_j(end) - A_j(start)] / |e|, the vertex difference below term
+  by term.  The entropy-flux average is sum_j D_ej Phi_j(u), with Phi_j the
+  scalar integral of U' g_j' from 0 to u.
+- *general vertex path.*  For f = n x grad a, given by any other potential
+  a(u, n), the flux through a face is the tangential derivative of a along
+  it, so s_e(u) = [a(u, end) - a(u, start)] / |e| exactly, with the face's
+  ends in the mesh's ``face_vertices`` order, and s_e' is the same
+  difference of the exact a_u.  Every frozen constant state of a potential
+  flux then has zero discrete divergence up to rounding (the
+  geometry-compatible discretization of Ben-Artzi, Falcovitz and LeFloch,
+  J. Comput. Phys. 228, 2009).
 
-The vertex path scans s_e' a fixed block of faces at a time and keeps only
-each face's sup |s_e'| and sign changes, so set-up memory is O(faces).  A
-face whose sup |s_e'| is rounding noise (at most 64 eps times the largest
-over the faces) gets no critical points; only the sign-change brackets of
-the other faces are refined by bisection.
+With two or more terms, and on the vertex path, s_e' is scanned a fixed
+block of faces at a time, keeping only each face's sup |s_e'| and sign
+changes, so set-up memory is O(faces).  A face whose sup |s_e'| is rounding
+noise (at most 64 eps times the largest over the faces) gets no critical
+points; only the sign-change brackets of the other faces are refined by
+bisection.
 
 Face-table evaluations follow one shape rule: a scalar state is taken at
 every face; an array state has the faces on its first axis and is viewed as
@@ -57,8 +60,8 @@ scheme (Crandall-Majda form for Kruzkov entropies; the classical companions
 for smooth convex entropies) and the per-step convex decomposition
 (u-tilde_{K,e}, u_{K,e}) that the entropy diagnostics are formulated in.
 The entropy fluxes reuse the step's face values.  The consistent fluxes
-S(a), S(b) are taken once per face -- for a separable flux once per cell
-state and shared root of g_u, then gathered and scaled by c_e.  The Godunov
+S(a), S(b) are taken once per face -- with terms, each Phi_j once per cell
+state, then gathered and weighted by D_ej.  The Godunov
 S(w*) is selected from them, or from S at a critical point, by the index of
 the winning candidate.  The Engquist-Osher entropy flux is the flux's own
 partition sum with the signs of the increments of s_e weighting those of S.
@@ -101,14 +104,14 @@ class FaceFluxTable:
 
     ``box`` is the state interval over which critical points and wave speeds
     are tracked; it can be rebuilt (expanded) on demand.  s_e is formed in
-    one of the two ways of the module docstring.  For a separable flux
-    ``c`` holds the per-face constants c_e of s_e = g c_e, for a potential
-    flux ``ends`` holds the unit vectors (n1, n2, n3) of each face's start
-    and end, shape (3, 2, F); the other one is None.  ``s`` and ``sp`` take
-    a scalar (every face) or an array of shape (F, ...), evaluated as
-    g(u) c_e or, viewed as (F, C), at the (2, F, C) face ends; they return
-    the shape of ``u``.  :meth:`rebuild` scans them a block of faces at a
-    time, in O(faces) memory.
+    one of the two ways of the module docstring: ``D`` holds the (F, J)
+    coefficients of a flux with terms, ``ends`` the unit vectors
+    (n1, n2, n3) of each face's start and end, shape (3, 2, F), for any other
+    potential flux; the other one is None.  ``s`` and ``sp`` take a scalar
+    (every face) or an array of shape (F, ...), evaluated as sum_j g_j D_ej
+    or, viewed as (F, C), at the (2, F, C) face ends; they return the shape
+    of ``u``.  :meth:`rebuild` scans them a block of faces at a time, in
+    O(faces) memory.
     """
 
     def __init__(self, mesh: SphereMesh, flux: FluxField, box):
@@ -117,16 +120,27 @@ class FaceFluxTable:
         self.n_scan = _N_SCAN
         self.q_phi = mesh.face_q_phi
         self.measure = mesh.face_measure
-        self.c = self.ends = None
-        if flux.g is not None:
-            comp = np.asarray(flux.X(mesh.face_q_phi, mesh.face_q_theta))
-            self.c = np.sum(mesh.face_q_w * mesh.normal_component(comp), axis=-1) / self.measure
-        elif flux.potential is not None:
-            self.ends = np.ascontiguousarray(mesh.vertex_xyz[mesh.face_vertices].T)
+        self.D = self.ends = None
+        ends = (None if flux.potential is None
+                else np.ascontiguousarray(mesh.vertex_xyz[mesh.face_vertices].T))
+        if flux.terms:
+            self.D = np.column_stack([self._coefficients(term, ends) for term in flux.terms])
+        elif ends is not None:
+            self.ends = ends
         else:
-            raise ConfigError(f"flux {flux.name!r} is neither separable (g) nor given "
-                              "by a potential: no face restriction s_e for it")
+            raise ConfigError(f"flux {flux.name!r} is neither separable (no terms) nor "
+                              "given by a potential: no face restriction s_e for it")
         self.rebuild(box)
+
+    def _coefficients(self, term, ends):
+        """D_ej of one term: the vertex difference of its potential over |e|,
+        or the 3-node face average of g(X_j, n_e) if it has none."""
+        if term.potential is not None:
+            v = np.broadcast_to(term.potential(*ends), ends.shape[1:])
+            return (v[1] - v[0]) / self.measure
+        mesh = self.mesh
+        comp = np.asarray(term.X(mesh.face_q_phi, mesh.face_q_theta))
+        return np.sum(mesh.face_q_w * mesh.normal_component(comp), axis=-1) / self.measure
 
     @property
     def n_faces(self) -> int:
@@ -138,48 +152,50 @@ class FaceFluxTable:
         Every per-face quantity is row-independent, so evaluations on a view
         are bitwise identical to the corresponding rows of a full evaluation;
         this is what makes chunked (multi-worker) stepping reproducible."""
-        v = object.__new__(type(self))
-        v.mesh, v.flux, v.n_scan, v.box = self.mesh, self.flux, self.n_scan, self.box
-        v.measure = self.measure[index]
-        v.c = None if self.c is None else self.c[index]
-        v.ends = None if self.ends is None else self.ends[:, :, index]
+        v = self._rows(index)
+        v.box = self.box
         v.speed, v.lam = self.speed[index], self.lam[index]
         v.crit, v.crit_s = self.crit[index], self.crit_s[index]
         return v
 
+    def _rows(self, index) -> "FaceFluxTable":
+        """A view that evaluates s and s' only (no box)."""
+        v = object.__new__(type(self))
+        v.mesh, v.flux, v.n_scan = self.mesh, self.flux, self.n_scan
+        v.measure = self.measure[index]
+        v.D = None if self.D is None else self.D[index]
+        v.ends = None if self.ends is None else self.ends[:, :, index]
+        return v
+
     # -- pointwise evaluations ------------------------------------------------
 
-    def _eval(self, u, derivative: bool, faces=slice(None)):
-        """s (or s' with ``derivative``) at the states ``u`` on the table's
-        rows ``faces`` (a slice or an index array; all rows by default).
+    def _eval(self, u, derivative: bool):
+        """s (or s' with ``derivative``) at the states ``u``.
 
-        A scalar ``u`` is taken at every one of those faces; otherwise the
-        first axis of ``u`` runs over them.  For a separable flux g (g_u) is
-        evaluated at ``u`` and scaled by c_e broadcast over the trailing
-        axes; for a potential flux ``u`` is viewed as (F, C) and the
-        potential a (a_u) is differenced between the (2, F, C) face ends.
-        The result has the shape of ``u`` (of (F,) for a scalar)."""
+        A scalar ``u`` is taken at every face; otherwise the first axis of
+        ``u`` runs over the faces.  The terms' g_j (g_j') are evaluated at
+        ``u`` and weighted by D_ej broadcast over the trailing axes, or ``u``
+        is viewed as (F, C) and the potential a (a_u) is differenced between
+        the (2, F, C) face ends.  The result has the shape of ``u``."""
         flux = self.flux
-        measure = self.measure[faces]
         u = np.asarray(u, dtype=float)
         if u.ndim == 0:
-            u = np.full(measure.shape[0], float(u))
-        if self.c is not None:
-            g = flux.g_u if derivative else flux.g
-            c = self.c[faces]
-            return g(u) * c.reshape(c.shape + (1,) * (u.ndim - 1))
+            u = np.full(self.n_faces, float(u))
+        if self.D is not None:
+            return _terms_sum(self.D, [(term.g_u if derivative else term.g)(u)
+                                       for term in flux.terms])
         cols = u.reshape(u.shape[0], math.prod(u.shape[1:]))
         a = flux.potential_u if derivative else flux.potential
-        n1, n2, n3 = self.ends[:, :, faces, None]
+        n1, n2, n3 = self.ends[:, :, :, None]
         v = np.broadcast_to(a(cols, n1, n2, n3), (2,) + cols.shape)
-        return ((v[1] - v[0]) / measure[:, None]).reshape(u.shape)
+        return ((v[1] - v[0]) / self.measure[:, None]).reshape(u.shape)
 
     def s(self, u):
         """Canonical face-averaged normal flux at state(s) u."""
         return self._eval(u, derivative=False)
 
     def sp(self, u):
-        """Derivative s_e'(u): g_u c_e, or the face-end difference of a_u."""
+        """Derivative s_e'(u): sum_j g_j' D_ej, or the face-end difference of a_u."""
         return self._eval(u, derivative=True)
 
     # -- state box / critical points ------------------------------------------
@@ -188,42 +204,56 @@ class FaceFluxTable:
         """(Re)compute critical points, wave speeds and lambda over ``box``.
 
         Critical points are the sign changes of s' on an ``n_scan``-point
-        grid, scanned a block of faces at a time (each row's bits as in one
-        full scan) and bisected on the faces that have one; a
-        face whose sup |s'| is rounding noise has none.  For a separable flux
-        they are those of g_u, found once and shared by every face (every
-        row of ``crit``)."""
+        grid, refined by bisection; a face whose sup |s'| is rounding noise
+        has none.  With one term they are the roots of g_1', found once.
+        Otherwise s' is scanned a block of faces at a time, each row's bits
+        as in :meth:`sp` (with terms, each g_j' taken once on the grid), and
+        the faces that have a sign change are bisected."""
         lo, hi = float(box[0]), float(box[1])
         if not (hi > lo):
             raise ConfigError(f"state box must be a nontrivial interval, got {box}")
         self.box = (lo, hi)
         grid = np.linspace(lo, hi, self.n_scan)
-        if self.c is None:
+        eps = np.finfo(float).eps
+        if self.D is not None and self.D.shape[1] == 1:
+            g_u = self.flux.terms[0].g_u
+            d = g_u(grid)
+            self.speed = np.abs(self.D[:, 0]) * np.max(np.abs(d))
+            cols = np.flatnonzero(np.signbit(d[1:]) != np.signbit(d[:-1]))
+            roots = _bisect_sign_changes(np.zeros_like(cols), cols, 1, grid, g_u)
+            inert = self.speed <= 64 * eps * self.speed.max(initial=0.0)
+            crit = np.where(inert[:, None], np.nan, roots)
+        else:
+            if self.D is not None:
+                G = [term.g_u(grid) for term in self.flux.terms]
+
+                def scan(block, n):
+                    return _terms_sum(self.D[block], [np.broadcast_to(g, (n, grid.size))
+                                                      for g in G])
+            else:
+                def scan(block, n):
+                    return self._rows(block)._eval(np.broadcast_to(grid, (n, grid.size)), True)
+
             self.speed = np.empty(self.n_faces)           # sup |s'| per face
             rows, cols = [], []
             for start in range(0, self.n_faces, _SCAN_BLOCK):
                 block = slice(start, start + _SCAN_BLOCK)
-                n_block = self.measure[block].shape[0]
-                d = self._eval(np.broadcast_to(grid, (n_block, grid.size)), True, block)
+                d = scan(block, self.measure[block].shape[0])
                 self.speed[block] = np.max(np.abs(d), axis=1)
-                r, c = np.nonzero(np.signbit(d[:, 1:]) != np.signbit(d[:, :-1]))
+                sign = np.signbit(d)
+                r, c = np.divmod(np.flatnonzero(sign[:, 1:] != sign[:, :-1]), grid.size - 1)
                 rows.append(start + r)
                 cols.append(c)
             rows, cols = np.concatenate(rows), np.concatenate(cols)
             # sign changes of rounding noise on inert faces are no critical points
-            inert = self.speed <= 64 * np.finfo(float).eps * self.speed.max(initial=0.0)
+            inert = self.speed <= 64 * eps * self.speed.max(initial=0.0)
             live = ~inert[rows]
             faces, rows = np.unique(rows[live], return_inverse=True)
+            live_rows = self._rows(faces)
             roots = _bisect_sign_changes(rows, cols[live], faces.size, grid,
-                                         lambda x: self._eval(x, True, faces))
+                                         lambda x: live_rows._eval(x, True))
             crit = np.full((self.n_faces, roots.shape[1]), np.nan)
             crit[faces] = roots
-        else:
-            d = self.flux.g_u(grid)
-            self.speed = np.abs(self.c) * np.max(np.abs(d))
-            cols = np.flatnonzero(np.signbit(d[1:]) != np.signbit(d[:-1]))
-            roots = _bisect_sign_changes(np.zeros_like(cols), cols, 1, grid, self.flux.g_u)
-            crit = np.repeat(roots, self.n_faces, axis=0)
         self.lam = 1.01 * self.speed                      # LF dissipation
         self.crit = crit
         self.crit_s = np.where(np.isnan(crit), np.nan,
@@ -233,35 +263,52 @@ class FaceFluxTable:
 
     def entropy_average(self, dU: Callable, u):
         """Face average of the entropy flux: integral of U'(w) s_e'(w) dw from
-        0 to ``u`` (24-point Gauss-Legendre), per face.  For a separable flux
-        this is c_e times :meth:`separable_entropy`."""
+        0 to ``u`` (24-point Gauss-Legendre), per face; with terms,
+        sum_j D_ej Phi_j(u) (:meth:`separable_entropy`)."""
         u = np.asarray(u, dtype=float)
         if u.ndim == 0:
             u = np.full(self.n_faces, float(u))
-        if self.c is not None:
-            return self.c * self.separable_entropy(dU, u)
+        if self.D is not None:
+            return _terms_sum(self.D, self.separable_entropy(dU, u))
         half = 0.5 * u
         mid = 0.5 * (u + 0.0)       # the midpoint of [0, u], +0.0 at u = -0.0
         w = mid[:, None] + half[:, None] * _GL_X[None, :]          # (F, 24)
         vals = dU(w) * self.sp(w)
         return half * np.sum(_GL_W * vals, axis=-1)
 
-    def separable_entropy(self, dU: Callable, u):
-        """Phi(u): integral of U'(w) g_u(w) dw from 0 to ``u`` (24-point
-        Gauss-Legendre), elementwise over the states ``u``; the separable
-        entropy-flux average is c_e Phi."""
+    def separable_entropy(self, dU: Callable, u) -> list:
+        """[Phi_j(u)]: the integrals of U'(w) g_j'(w) dw from 0 to ``u``
+        (24-point Gauss-Legendre), one per term, elementwise over ``u``."""
         half = 0.5 * u
         mid = 0.5 * (u + 0.0)       # the midpoint of [0, u], +0.0 at u = -0.0
-        # node by node, in reused buffers that stay in cache
-        total = np.zeros_like(u)
         w = np.empty_like(u)
-        for x, weight in zip(_GL_X, _GL_W):
-            np.multiply(half, x, out=w)
-            w += mid
-            term = dU(w) * self.flux.g_u(w)
-            term *= weight
-            total += term
-        return half * total
+        phi = []
+        for term in self.flux.terms:
+            # node by node, in reused buffers that stay in cache
+            total = np.zeros_like(u)
+            for x, weight in zip(_GL_X, _GL_W):
+                np.multiply(half, x, out=w)
+                w += mid
+                value = dU(w) * term.g_u(w)
+                value *= weight
+                total += value
+            phi.append(half * total)
+        return phi
+
+
+def _terms_sum(D, values):
+    """sum_j values[j] D[:, j], the terms added in order; each values[j] has
+    the faces on its first axis, and D_ej is broadcast over the others."""
+    total = None
+    for j, v in enumerate(values):
+        column = D[:, j]
+        if v.ndim > 1:
+            column = column.reshape(column.shape + (1,) * (v.ndim - 1))
+        if total is None:
+            total = v * column
+        else:
+            total += v * column
+    return total
 
 
 def _bisect_sign_changes(rows, cols, n_rows, grid, fprime):
@@ -284,13 +331,12 @@ def _bisect_sign_changes(rows, cols, n_rows, grid, fprime):
     a[rows, rank] = grid[cols]
     b[rows, rank] = grid[cols + 1]
     mask = np.arange(max_crit) < count[:, None]
-    fa = np.where(mask, fprime(a), 0.0)
+    # the sign at a bracket's left end: a moves only to points of that sign
+    sign_a = np.signbit(fprime(a)) & mask
     for _ in range(60):
         mid = 0.5 * (a + b)
-        fm = np.where(mask, fprime(mid), 0.0)
-        left = np.signbit(fa) == np.signbit(fm)
+        left = (np.signbit(fprime(mid)) & mask) == sign_a
         a = np.where(left, mid, a)
-        fa = np.where(left, fm, fa)
         b = np.where(left, b, mid)
     return np.where(mask, 0.5 * (a + b), np.nan)
 
@@ -340,30 +386,35 @@ class NumericalFlux:
             pick = np.where(better, 2 + j, pick)
         return s, pick
 
+    def _inside(self, a, b):
+        """The ends a^b and a v b of each face's interval, shape (F, 1), the
+        critical points clamped into it (ascending, as ``crit``), and the
+        (rows, cols) of those strictly inside."""
+        lo = np.minimum(a, b)[:, None]
+        hi = np.maximum(a, b)[:, None]
+        inner = np.maximum(np.fmin(self.table.crit, hi), lo)
+        return lo, hi, inner, np.nonzero((inner != lo) & (inner != hi))
+
     def _variation(self, a, b, s_a, s_b, v=None):
         """The Engquist-Osher sum of sgn(Delta s) Delta v over the segments of
         the critical-point partition of [a^b, a v b], per face, added column
         by column from a^b.  s is monotone on each segment, so for v = s
         (``v`` None) this is TV(s) -- sgn(x) x = |x| exactly -- and for v = S
-        the integral of U' |s'|.  ``v`` is (v_a, v_b, v_at): v_at(rows, cols)
-        is v at critical-point column ``cols`` of faces ``rows``, where s is
-        ``crit_s``.  A critical point outside (a^b, a v b), or NaN, collapses
-        onto an end and takes its values, so it adds +0."""
-        t = self.table
-        lo = np.minimum(a, b)[:, None]
-        hi = np.maximum(a, b)[:, None]
-        inner = np.maximum(np.fmin(t.crit, hi), lo)            # ascending, as crit
-        rows, cols = np.nonzero((inner != lo) & (inner != hi))
+        the integral of U' |s'|.  ``v`` is (v_a, v_b, v_inside), v_inside
+        holding v at the critical points inside, in the order of
+        :meth:`_inside` (s there is ``crit_s``).  A critical point outside
+        (a^b, a v b), or NaN, collapses onto an end and takes its values, so
+        it adds +0."""
+        lo, hi, inner, (rows, cols) = self._inside(a, b)
 
-        def at_partition(v_a, v_b, v_at):
+        def at_partition(v_a, v_b, v_inside):
             v_lo = np.where(a <= b, v_a, v_b)[:, None]
             v_hi = np.where(a <= b, v_b, v_a)[:, None]
             v_inner = np.where(inner == hi, v_hi, v_lo)
-            if rows.size:
-                v_inner[rows, cols] = v_at(rows, cols)
+            v_inner[rows, cols] = v_inside
             return np.concatenate([v_lo, v_inner, v_hi], axis=1)
 
-        s_pts = at_partition(s_a, s_b, lambda r, c: t.crit_s[r, c])
+        s_pts = at_partition(s_a, s_b, self.table.crit_s[rows, cols])
         v_pts = s_pts if v is None else at_partition(*v)
         total = np.zeros(a.shape)
         for j in range(1, s_pts.shape[1]):
@@ -419,37 +470,37 @@ class NumericalFlux:
         LF: central form with lambda dissipation; Godunov: S(w*), selected by
         the step's winning candidate ``decomp.pick``; EO:
         1/2 (S(a)+S(b)) - 1/2 sgn(b-a) sum sgn(Delta s) Delta S (see
-        :meth:`_variation`).  A separable S = c_e Phi is taken per cell state
-        and root of g_u; S at a critical point only on the faces needing it."""
+        :meth:`_variation`).  S at a critical point is taken only where the
+        flux needs it; with terms, each Phi_j once per cell state and such
+        critical point."""
         t = self.table
         mesh = decomp.mesh
         a, b = decomp.u_left, decomp.u_right
-        if t.c is not None:
-            # the cell states, then the roots of g_u (any row of crit)
+        rows = cols = np.zeros(0, dtype=np.intp)
+        if self.kind == GODUNOV:
+            rows = np.flatnonzero(decomp.pick >= 2)
+            cols = decomp.pick[rows] - 2
+        elif self.kind == ENGQUIST_OSHER:
+            rows, cols = self._inside(a, b)[3]
+        w = t.crit[rows, cols]
+        if t.D is not None:
             n = decomp.u_old.size
-            phi = t.separable_entropy(dU, np.concatenate([decomp.u_old, t.crit[:1].ravel()]))
-            S_a = t.c * phi[mesh.face_left]
-            S_b = t.c * phi[mesh.face_right]
+            phi = t.separable_entropy(dU, np.concatenate([decomp.u_old, w]))
+            S_a = _terms_sum(t.D, [p[mesh.face_left] for p in phi])
+            S_b = _terms_sum(t.D, [p[mesh.face_right] for p in phi])
+            S_w = _terms_sum(t.D[rows], [p[n:] for p in phi])
         else:
             S_a = t.entropy_average(dU, a)
             S_b = t.entropy_average(dU, b)
-
-        def S_at(rows, cols):
-            """S at critical-point column ``cols`` of faces ``rows``."""
-            if t.c is not None:
-                return t.c[rows] * phi[n + cols]
-            return t.view(rows).entropy_average(dU, t.crit[rows, cols])
+            S_w = t.view(rows).entropy_average(dU, w)
 
         if self.kind == LAX_FRIEDRICHS:
             G = 0.5 * (S_a + S_b) - 0.5 * t.lam * (U(b) - U(a))
         elif self.kind == GODUNOV:
-            pick = decomp.pick
-            G = np.where(pick == 1, S_b, S_a)
-            at_root = np.flatnonzero(pick >= 2)
-            if at_root.size:
-                G[at_root] = S_at(at_root, pick[at_root] - 2)
+            G = np.where(decomp.pick == 1, S_b, S_a)
+            G[rows] = S_w
         else:
-            tv_S = self._variation(a, b, decomp.s_left, decomp.s_right, (S_a, S_b, S_at))
+            tv_S = self._variation(a, b, decomp.s_left, decomp.s_right, (S_a, S_b, S_w))
             G = 0.5 * (S_a + S_b) - 0.5 * np.sign(b - a) * tv_S
         return G, S_a, S_b
 

@@ -20,30 +20,31 @@ class NodeAverageTable(fvm.FaceFluxTable):
     """Face table whose s_e is the mesh's 3-node Gauss-Legendre face average
     of g(f(u, x), n_e), and s_e' that of g(f_u, n_e), for any flux.
 
-    The quadrature oracle of the solver's two face paths: the separable path
-    differs from it only by rounding, the vertex path by the quadrature
-    error.  Only the evaluation is its own; critical points, wave speeds and
-    numerical fluxes come from the solver's ``rebuild``, bisection and
+    The quadrature oracle of the solver's two face paths: a separable
+    flux's coefficient table differs from it only by rounding, a potential
+    flux's table (either path) by the quadrature error.  Only the
+    evaluation is its own; critical points, wave speeds and numerical
+    fluxes come from the solver's ``rebuild``, bisection and
     ``NumericalFlux``.  ``face_ids`` maps the rows of a view to mesh faces."""
 
     def __init__(self, mesh, flux, box):
         self.mesh, self.flux = mesh, flux
         self.n_scan = fvm._N_SCAN
         self.measure = mesh.face_measure
-        self.c = self.ends = None
+        self.D = self.ends = None
         self.face_ids = np.arange(mesh.n_faces)
         self.rebuild(box)
 
-    def view(self, index):
-        v = super().view(index)
+    def _rows(self, index):
+        v = super()._rows(index)
         v.face_ids = self.face_ids[index]
         return v
 
-    def _eval(self, u, derivative, faces=slice(None)):
+    def _eval(self, u, derivative):
         """f (f_u) at the (F, C, 3) face nodes of the states viewed as
         (F, C), averaged per face; the result has the shape of ``u``."""
         mesh = self.mesh
-        ids = self.face_ids[faces][:, None]
+        ids = self.face_ids[:, None]
         u = np.asarray(u, dtype=float)
         if u.ndim == 0:
             u = np.full(ids.shape[0], float(u))

@@ -6,7 +6,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from spherefv import ConfigError, compile_expression, make_flux
-from spherefv.expressions import compile_node, differentiate, parse_expression
+from spherefv.expressions import compile_node, differentiate, parse_expression, split_terms
 from spherefv.flux import _stencil
 
 
@@ -191,3 +191,54 @@ def test_potential_u_matches_finite_difference(a):
     u = rng.uniform(-1.5, 1.5, 200)
     fd = _stencil(lambda d: flux.potential(u + d, *n))
     assert np.abs(flux.potential_u(u, *n) - fd).max() <= 1e-8
+
+
+# ---------------------------------------------------------------------------
+# splitting into terms g(u) X(n)
+# ---------------------------------------------------------------------------
+
+def _split_sum(terms, symbols, env):
+    """sum_j g_j X_j at ``env`` and sum_j |g_j X_j|, with g_j evaluated on u
+    alone and X_j without u (a tree that breaks this raises KeyError)."""
+    others = [name for name in symbols if name != "u"]
+    values = [compile_node(g, ["u"], "")(u=env["u"])
+              * compile_node(X, others, "")(**{k: env[k] for k in others})
+              for g, X in terms]
+    return sum(values), sum(np.abs(v) for v in values)
+
+
+@pytest.mark.parametrize("text, count", [
+    ("u*n3 + 0.3*u^2*n1", 2), ("-u*n1", 1), ("u*n3 - 2*u^2*n1/n3", 2),
+    ("sin(3*u)*n1^2*n2", 1)])
+def test_split_terms_sum_to_the_expression(text, count):
+    symbols = ["u", "n1", "n2", "n3"]
+    node = parse_expression(text, symbols)
+    terms = split_terms(node)
+    assert len(terms) == count
+    rng = np.random.default_rng(56)
+    n = rng.normal(size=(3, 100))
+    n /= np.linalg.norm(n, axis=0)
+    n[2] = np.where(np.abs(n[2]) < 0.1, 0.5, n[2])        # away from n3 = 0
+    env = {"u": rng.uniform(-1.5, 1.5, 100), "n1": n[0], "n2": n[1], "n3": n[2]}
+    want = compile_node(node, symbols, text)(**env)
+    got, _ = _split_sum(terms, symbols, env)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("text", ["sin(u*n1)", "u^n1", "(u + n1)^2"])
+def test_split_terms_refuses_mixed_factors(text):
+    assert split_terms(parse_expression(text, ["u", "n1"])) is None
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=EXPRESSIONS, point=POINTS)
+def test_split_terms_evaluate_to_the_expression(text, point):
+    node = parse_expression(text, SYMBOLS)
+    terms = split_terms(node)
+    if terms is None:
+        return
+    env = dict(zip(SYMBOLS, point))
+    want = float(np.broadcast_to(compile_node(node, SYMBOLS, text)(**env), ()))
+    got, scale = _split_sum(terms, SYMBOLS, env)
+    # products are regrouped within each term; the terms are summed in order
+    assert abs(got - want) <= 1e-13 * max(1.0, float(scale))

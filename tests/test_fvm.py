@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spherefv import (
     ConfigError,
@@ -15,6 +16,7 @@ from spherefv import (
     build_latlon,
     cfl_timestep,
     entropy_report,
+    from_potential,
     init_state,
     kruzkov_spec,
     make_flux,
@@ -406,7 +408,7 @@ def test_separable_path_matches_generic(name, params, n_phi, n_theta):
     fast = FaceFluxTable(mesh, flux, box)
     # the node-average quadrature oracle evaluates f itself
     slow = NodeAverageTable(mesh, flux, box)
-    assert fast.c is not None and slow.c is None
+    assert fast.D is not None and fast.D.shape[1] == 1 and slow.D is None
 
     tol = 1e-14
     states = np.linspace(box[0], box[1], 9)
@@ -451,23 +453,28 @@ def test_box_expansion_rebuilds_table(path):
     t = nf.table
     assert t.box[0] <= state.u.min() and state.u.max() <= t.box[1]
     fresh = table(mesh, flux, t.box)
-    assert (t.c is None) == (path == "generic")
+    assert (t.D is None) == (path == "generic")
     for name in ("crit", "crit_s", "speed"):
         np.testing.assert_array_equal(getattr(t, name), getattr(fresh, name))
     assert nf.validate_monotonicity() >= -nf.monotonicity_tol
 
 
 def test_separable_step_never_evaluates_f():
-    # neither face path evaluates f or f_u while stepping and monitoring
+    # neither face path evaluates f or f_u while stepping and monitoring, and
+    # the coefficient table of a split potential evaluates no potential
     mesh = build_latlon(12, 6, 0.3)
     box = (-1.5, 1.5)
 
     def forbidden(*args):
-        raise AssertionError("a face table evaluated f or f_u")
+        raise AssertionError("a face table evaluated f, f_u or a split potential")
 
-    for flux in (make_flux("latitude_burgers", {"c_expr": "sin(theta)"}),
-                 make_flux("potential", {"a": "u*n3 + 0.3*u^2*n1"})):
+    for flux, split in ((make_flux("latitude_burgers", {"c_expr": "sin(theta)"}), False),
+                        (make_flux("potential", {"a": "u*n3 + 0.3*u^2*n1"}), True),
+                        (make_flux("potential", {"a": UNSPLIT}), False)):
         blind = replace(flux, f=forbidden, f_u=forbidden)
+        if split:
+            assert flux.terms
+            blind = replace(blind, potential=forbidden, potential_u=forbidden)
         for kind in FLUX_KINDS:
             nf = make_numerical_flux(kind, mesh, blind, box=box)
             state = _initial(mesh)
@@ -491,10 +498,17 @@ def test_flux_without_face_restriction_rejected():
 
 POTENTIALS = ["u*n3 + 0.3*u^2*n1", "0.5*u^2*n3 + u*n1*n2",
               "0.5*u^2*n3 + u*n1*n2 + sin(3*u)*n1^2*n2"]
+# a potential that does not split into terms g(u) X(n): the vertex path
+UNSPLIT = "sin(u*n1) + u*n3"
+
+
+def _vertex_flux(flux):
+    """The same potential as a Python callable: no terms, the vertex path."""
+    return from_potential(flux.potential, name=flux.name, a_u=flux.potential_u)
 
 
 @pytest.mark.parametrize("n_phi, n_theta", [(12, 6), (47, 24)])
-@pytest.mark.parametrize("a", POTENTIALS)
+@pytest.mark.parametrize("a", POTENTIALS + [UNSPLIT])
 def test_potential_constant_state_preserved(a, n_phi, n_theta):
     mesh = build_latlon(n_phi, n_theta, 0.3)
     flux = make_flux("potential", {"a": a})
@@ -502,7 +516,8 @@ def test_potential_constant_state_preserved(a, n_phi, n_theta):
     fid = mesh.cell_faces
     for kind in FLUX_KINDS:
         nf = make_numerical_flux(kind, mesh, flux, box=box)
-        assert nf.table.ends is not None
+        # the coefficient table, or the vertex path for the unsplit potential
+        assert (nf.table.D is None) == (nf.table.ends is not None) == (a == UNSPLIT)
         # the frozen-state divergence sum_e +-|e| s_e vanishes per cell
         s = nf.table.s(0.75)
         div = mesh.cell_sum(mesh.cell_signs * mesh.face_measure[fid] * s[fid])
@@ -513,13 +528,10 @@ def test_potential_constant_state_preserved(a, n_phi, n_theta):
         assert np.abs(new.u - 0.75).max() <= 1e-14
 
 
-# The solver forms s_e in two ways, separable and vertex potential; the
-# node-average oracle (tests/identities.py) averages f over the 3 face nodes
-# and carries the 3-node quadrature error, O(|e|^6): 1.2e-5 at 12x6 for the
-# sin(3u) potential.  Its scan is slow where s' vanishes identically (e.g.
-# 59 s at 47x24 for the first potential, whose inert faces collect 76
-# critical points from the finite-difference noise of f_u, about 2e-11, far
-# above the rounding floor), hence 24x12.
+# The potentials' coefficient tables against the node-average oracle
+# (tests/identities.py), which averages f over the 3 face nodes and carries
+# the 3-node quadrature error, O(|e|^6): 1.2e-5 at 12x6 for the sin(3u)
+# potential.  The oracle's scan evaluates f at every node, hence 24x12.
 @pytest.mark.parametrize("n_phi, n_theta, tol", [(12, 6, 1e-4), (24, 12, 1e-6)])
 @pytest.mark.parametrize("a", POTENTIALS)
 def test_vertex_path_matches_node_average(a, n_phi, n_theta, tol):
@@ -528,7 +540,7 @@ def test_vertex_path_matches_node_average(a, n_phi, n_theta, tol):
     flux = make_flux("potential", {"a": a})
     fast = FaceFluxTable(mesh, flux, box)
     slow = NodeAverageTable(mesh, flux, box)
-    assert fast.ends is not None and slow.ends is None
+    assert fast.D is not None and slow.D is None and slow.ends is None
     u = np.random.default_rng(51).uniform(box[0], box[1], mesh.n_faces)
     for table_u in [u, np.column_stack([u, -u])]:
         assert np.abs(fast.s(table_u) - slow.s(table_u)).max() <= tol
@@ -543,6 +555,68 @@ def test_vertex_path_matches_node_average(a, n_phi, n_theta, tol):
     crit_f, crit_s = fast.crit[live, :width], slow.crit[live, :width]
     found = ~np.isnan(crit_s)
     assert np.abs(crit_f[found] - crit_s[found]).max(initial=0.0) <= tol
+
+
+@pytest.mark.parametrize("n_phi, n_theta", [(12, 6), (48, 24)])
+@pytest.mark.parametrize("a", POTENTIALS)
+def test_coefficient_table_matches_vertex_path(a, n_phi, n_theta):
+    # the same potential, once split into terms and once as a callable:
+    # sum_j g_j D_ej against [a(end) - a(start)] / |e|
+    box = (-1.5, 1.5)
+    mesh = build_latlon(n_phi, n_theta, 0.3)
+    flux = make_flux("potential", {"a": a})
+    split = FaceFluxTable(mesh, flux, box)
+    vertex = FaceFluxTable(mesh, _vertex_flux(flux), box)
+    assert split.D.shape == (mesh.n_faces, len(flux.terms)) and vertex.ends is not None
+
+    def close(got, want, tol=1e-13):
+        scale = np.nanmax(np.abs(want), initial=0.0)
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        assert np.nanmax(np.abs(got - want), initial=0.0) <= tol * scale
+
+    u = np.random.default_rng(57).uniform(box[0], box[1], mesh.n_faces)
+    for table_u in [u, np.column_stack([u, -u])]:
+        close(split.s(table_u), vertex.s(table_u))
+        close(split.sp(table_u), vertex.sp(table_u))
+    close(split.speed, vertex.speed)
+    assert split.crit.shape == vertex.crit.shape
+    close(split.crit, vertex.crit, 1e-10)
+    close(split.crit_s, vertex.crit_s)
+
+
+# random sums of u, u^2 and sin(k u) times monomials in n: every one splits
+_G = st.sampled_from(["u", "u^2", "sin(u)", "sin(2*u)", "sin(3*u)"])
+_MONOMIAL = st.tuples(*[st.integers(0, 2)] * 3).map(
+    lambda p: "*".join(f"n{i + 1}^{k}" for i, k in enumerate(p) if k) or "1")
+_COEFFICIENT = st.integers(1, 10).map(lambda c: c / 10) | st.integers(1, 10).map(lambda c: -c / 10)
+SPLIT_POTENTIALS = st.lists(st.tuples(_COEFFICIENT, _G, _MONOMIAL), min_size=1, max_size=3).map(
+    lambda terms: " + ".join(f"{c!r}*{g}*{m}" for c, g, m in terms))
+
+
+@settings(max_examples=20, deadline=None)
+@given(a=SPLIT_POTENTIALS)
+def test_coefficient_table_properties(a):
+    # on every face: exact consistency and conservation, sampled
+    # monotonicity, and zero frozen-state divergence per cell
+    mesh = build_latlon(8, 4, 0.3)
+    box = (-1.5, 1.5)
+    flux = make_flux("potential", {"a": a})
+    assert flux.terms
+    fid = mesh.cell_faces
+    rng = np.random.default_rng(58)
+    for kind in FLUX_KINDS:
+        nf = make_numerical_flux(kind, mesh, flux, box=box)
+        t = nf.table
+        for u in np.linspace(box[0], box[1], 7):
+            states = np.full(mesh.n_faces, u)
+            assert np.array_equal(nf.values(states, states), t.s(states))
+            div = mesh.cell_sum(mesh.cell_signs * mesh.face_measure[fid] * t.s(u)[fid])
+            assert np.abs(div).max() <= 1e-15
+        for face in range(mesh.n_faces):
+            u, v = rng.uniform(box[0], box[1], 2)
+            assert (numerical_flux(nf, face, mesh.face_left[face], u, v)
+                    == -numerical_flux(nf, face, mesh.face_right[face], v, u))
+        assert nf.validate_monotonicity(n_states=12, max_faces=mesh.n_faces) >= -1e-12
 
 
 @pytest.mark.parametrize("kind", FLUX_KINDS)
@@ -623,16 +697,21 @@ def _assert_table_bits(t, expected):
         np.testing.assert_array_equal(_bits(getattr(t, name)), _bits(value), err_msg=name)
 
 
+# the two scanned face paths: the coefficient table of a potential with two
+# or more terms, and the vertex path (forced for the split ones)
 @pytest.mark.parametrize("n_phi, n_theta", [(12, 6), (24, 12)])
-@pytest.mark.parametrize("path", ["vertex"])         # the one scanned face path
-@pytest.mark.parametrize("a", POTENTIALS)
+@pytest.mark.parametrize("a, path", [(a, "vertex") for a in POTENTIALS + [UNSPLIT]]
+                         + [(a, "split") for a in POTENTIALS])
 def test_chunked_rebuild_matches_full_scan(a, path, n_phi, n_theta):
     mesh = build_latlon(n_phi, n_theta, 0.3)
     assert mesh.n_faces % fvm._SCAN_BLOCK                 # a partial last block
     flux = make_flux("potential", {"a": a})
+    if path == "vertex" and flux.terms:
+        flux = _vertex_flux(flux)
     nf = make_numerical_flux(ENGQUIST_OSHER, mesh, flux, box=(-0.2, 0.6))
     t = nf.table
-    assert t.ends is not None
+    assert (t.ends is not None) == (path == "vertex")
+    assert path == "vertex" or t.D.shape[1] >= 2
     _assert_table_bits(t, _full_scan(t, t.box))
     with pytest.warns(RuntimeWarning, match="state left the tracked box"):
         nf.ensure_box(-1.2, 1.3)
@@ -652,7 +731,7 @@ def test_chunked_rebuild_keeps_inert_faces_out():
     assert t.crit.shape[1] == 3 and np.array_equal(inert, mesh.face_kind != MERIDIAN)
 
 
-@pytest.mark.parametrize("a", POTENTIALS)
+@pytest.mark.parametrize("a", POTENTIALS + [UNSPLIT])
 def test_potential_table_build_memory_is_linear_in_faces(a):
     # one (2, F, n_scan) scan array alone would take 2 * 129 * 8 B = 2 KB per face
     mesh = build_latlon(96, 48, 0.3)
@@ -671,11 +750,13 @@ def test_potential_table_build_memory_is_linear_in_faces(a):
 # entropy companions
 # ---------------------------------------------------------------------------
 
-# the two face paths, and the node-average oracle as a third table type
-# behind the same NumericalFlux
+# the two face paths -- the coefficient table with one term (separable) and
+# with three (split), and the vertex path -- and the node-average oracle as
+# another table type behind the same NumericalFlux
 ENTROPY_TABLES = {
     "separable": (FaceFluxTable, make_flux("latitude_burgers", {"c_expr": "cos(theta)"})),
-    "vertex": (FaceFluxTable, make_flux("potential", {"a": POTENTIALS[2]})),
+    "split": (FaceFluxTable, make_flux("potential", {"a": POTENTIALS[2]})),
+    "vertex": (FaceFluxTable, make_flux("potential", {"a": UNSPLIT})),
     "node-average": (NodeAverageTable, make_flux("potential", {"a": POTENTIALS[2]})),
 }
 
@@ -688,7 +769,7 @@ def test_entropy_fluxes_match_pointwise_formulas_bitwise(path, kind):
     box = (-1.5, 1.5)
     nf = NumericalFlux(kind=kind, table=table(mesh, flux, box))
     t = nf.table
-    assert path == ("separable" if t.c is not None else
+    assert path == ({1: "separable", 3: "split"}[t.D.shape[1]] if t.D is not None else
                     "vertex" if t.ends is not None else "node-average")
     rng = np.random.default_rng(53)
     u = rng.uniform(-1.2, 1.2, mesh.n_cells)
@@ -758,17 +839,16 @@ def _eo_entropy_sorted_partition(nf, dU, a, b, S_a, S_b):
     return 0.5 * (S_a + S_b) - 0.5 * np.sign(b - a) * tv_S
 
 
-# The solver's two face paths.  The node-average oracle is left out: its s'
-# averages a finite-difference f_u, whose rounding noise makes two 24-point
-# rules over different intervals differ by up to 1.1e-14 relative at 8x4 (its
-# EO entropy flux is checked bitwise above).
-@pytest.mark.parametrize("path", ["separable", "vertex", "vertex-6-columns"])
+# The solver's two face paths.  The node-average oracle is left out (its EO
+# entropy flux is checked bitwise above).
+@pytest.mark.parametrize("path", ["separable", "split", "vertex", "vertex-6-columns"])
 def test_eo_entropy_flux_matches_segment_quadrature(path):
     # the partition sum with S in place of s against S(a) plus the
     # per-segment quadrature of U' min(s', 0) (tests/identities.py)
     if path == "vertex-6-columns":
         mesh = build_latlon(12, 6, 0.3)
-        table, flux = FaceFluxTable, make_flux("potential", {"a": "sin(7*u)*n3"})
+        table = FaceFluxTable
+        flux = _vertex_flux(make_flux("potential", {"a": "sin(7*u)*n3"}))
     else:
         mesh = build_latlon(8, 4, 0.3)
         table, flux = ENTROPY_TABLES[path]
@@ -788,8 +868,9 @@ def test_eo_entropy_flux_matches_segment_quadrature(path):
 
 def test_eo_step_takes_critical_values_from_the_table(monkeypatch):
     # a plain EO step evaluates s only at the two face states (s at a
-    # critical point is crit_s); a monitored separable EO step takes S at the
-    # roots of g_u from Phi and evaluates no s'
+    # critical point is crit_s); a monitored EO step on the coefficient table
+    # (separable or split) takes S at the critical points from the Phi_j and
+    # evaluates no s'
     s = FaceFluxTable.s
     calls = []
 
@@ -798,7 +879,7 @@ def test_eo_step_takes_critical_values_from_the_table(monkeypatch):
         return s(self, u)
 
     def forbidden_sp(self, u):
-        raise AssertionError("s' evaluated during a monitored separable EO step")
+        raise AssertionError("s' evaluated during a monitored coefficient-table EO step")
 
     monkeypatch.setattr(FaceFluxTable, "s", counted_s)
     mesh = build_latlon(8, 4, 0.3)
@@ -813,9 +894,11 @@ def test_eo_step_takes_critical_values_from_the_table(monkeypatch):
         step(state, flux, nf, need_decomposition=False)
         assert calls == [(mesh.n_faces,)] * 2
     monkeypatch.setattr(FaceFluxTable, "sp", forbidden_sp)
-    mesh, flux, nf, tau = _setup(ENGQUIST_OSHER)
-    state = _initial(mesh)
-    state.tau = tau
-    _, decomp = step(state, flux, nf)
-    for spec in (square_spec(), kruzkov_spec(0.0)):
-        entropy_report(nf, decomp, spec)
+    for flux in (make_flux("latitude_burgers", {"c_expr": "sin(theta)"}),
+                 make_flux("potential", {"a": POTENTIALS[0]})):
+        nf = make_numerical_flux(ENGQUIST_OSHER, mesh, flux, box=box)
+        state = _initial(mesh)
+        state.tau = cfl_timestep(mesh, flux, nf, box, 0.5)
+        _, decomp = step(state, flux, nf)
+        for spec in (square_spec(), kruzkov_spec(0.0)):
+            entropy_report(nf, decomp, spec)
