@@ -158,8 +158,7 @@ def entropy_report(nf: NumericalFlux, decomp: ConvexDecomposition,
     ``alpha`` is the modulus of convexity of U over the table's state box;
     it is computed by ``spec.convexity_modulus`` when not given."""
     mesh = decomp.mesh
-    fid, cell = mesh.cell_faces, mesh.slot_cell
-    outward = mesh.cell_signs > 0
+    cell, side = mesh.slot_cell, mesh.slot_side
 
     if spec.kind == "kruzkov":
         G, G_left, G_right = nf.kruzkov_fluxes(spec.k, decomp)
@@ -167,7 +166,7 @@ def entropy_report(nf: NumericalFlux, decomp: ConvexDecomposition,
         G, G_left, G_right = nf.smooth_fluxes(spec.U, spec.dU, decomp)
 
     # F_{e,K}(u_K, u_Ke) - F_{e,K}(u_K, u_K) per slot
-    mu_Gdiff = decomp.mu[cell] * np.where(outward, (G - G_left)[fid], (G_right - G)[fid])
+    mu_Gdiff = decomp.mu * np.concatenate([G - G_left, G_right - G])[side]
     U_cells = spec.u_values(decomp.u_old)
     U_old = U_cells[cell]
     U_tilde = spec.u_values(decomp.utilde)
@@ -184,7 +183,7 @@ def entropy_report(nf: NumericalFlux, decomp: ConvexDecomposition,
         alpha = spec.convexity_modulus(nf.table.box)
     mass_old = float(np.sum(U_cells * mesh.cell_area))
     mass_new = float(np.sum(spec.u_values(u_new) * mesh.cell_area))
-    own_G = np.where(outward, G_left[fid], G_right[fid])
+    own_G = np.concatenate([G_left, G_right])[side]
     flux_term = float(np.sum(decomp.tau * mesh.slot_measure * own_G))
     r_term = float(np.sum(wKe * R))
     lhs = mass_new + 0.5 * alpha * float(diss)
@@ -261,30 +260,33 @@ class Monitor:
         self._alpha: dict = {}         # (spec, state box) -> alpha
 
     def record_initial(self, state: SolverState) -> None:
-        self.records.append(self._base_record(state, dissipation=0.0, worst_pc10=0.0))
+        emass = {spec.name: float(np.sum(spec.u_values(state.u) * self.mesh.cell_area))
+                 for spec in self.entropies}
+        self.records.append(self._base_record(state, 0.0, 0.0, emass))
 
     def __call__(self, state: SolverState, decomp: ConvexDecomposition) -> None:
         dissipation = 0.0
         worst = -math.inf
+        emass = {}
         for spec in self.entropies:
             key = (spec, self.nf.table.box)
             if key not in self._alpha:
                 self._alpha[key] = spec.convexity_modulus(key[1])
             rec = entropy_report(self.nf, decomp, spec, alpha=self._alpha[key])
             worst = max(worst, rec.worst_pc10)
+            emass[spec.name] = rec.entropy_mass_new
             if spec.kind == "smooth":
                 dissipation = rec.dissipation_increment
         if not self.entropies:
             worst = 0.0
         self.pc15_cumulative += dissipation
-        self.records.append(self._base_record(state, dissipation, worst))
+        self.records.append(self._base_record(state, dissipation, worst, emass))
 
-    def _base_record(self, state, dissipation, worst_pc10) -> DiagnosticsRecord:
+    def _base_record(self, state, dissipation, worst_pc10, emass) -> DiagnosticsRecord:
+        """The record of ``state``, with its entropy masses ``emass``."""
         u = state.u
         tv = {name: discrete_tv_x(state, None, weights=w)
               for name, w in self.tv_fields.items()}
-        emass = {spec.name: float(np.sum(spec.u_values(u) * self.mesh.cell_area))
-                 for spec in self.entropies}
         rec = DiagnosticsRecord(
             step=state.n, t=state.t,
             mass=float(np.sum(u * self.mesh.cell_area)),

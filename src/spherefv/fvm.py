@@ -51,9 +51,9 @@ state's shape.
 A face value is computed once in the canonical orientation and enters the two
 adjacent cells with opposite signs, so the conservation property is exact in
 floating point.  Per-cell face accumulation runs over the mesh's flat
-(cell, face) slots with ``SphereMesh.cell_sum``, in the fixed [W, E, N, S]
-order (rim faces in increasing phi order for the pole caps), so results do
-not depend on how the face loop is chunked across workers.
+(cell, face) slots with ``SphereMesh.cell_sum``: x_W + ((x_E + x_N) + x_S)
+for a band cell, ``np.add.reduceat`` over a cap's rim, so results do not
+depend on how the face loop is chunked across workers.
 
 The module also provides the numerical entropy fluxes that accompany each
 scheme (Crandall-Majda form for Kruzkov entropies; the classical companions
@@ -155,7 +155,7 @@ class FaceFluxTable:
         v = self._rows(index)
         v.box = self.box
         v.speed, v.lam = self.speed[index], self.lam[index]
-        v.crit, v.crit_s = self.crit[index], self.crit_s[index]
+        v.crit, v.crit_s = _take_rows(self.crit, index), _take_rows(self.crit_s, index)
         return v
 
     def _rows(self, index) -> "FaceFluxTable":
@@ -163,7 +163,7 @@ class FaceFluxTable:
         v = object.__new__(type(self))
         v.mesh, v.flux, v.n_scan = self.mesh, self.flux, self.n_scan
         v.measure = self.measure[index]
-        v.D = None if self.D is None else self.D[index]
+        v.D = None if self.D is None else _take_rows(self.D, index)
         v.ends = None if self.ends is None else self.ends[:, :, index]
         return v
 
@@ -296,6 +296,12 @@ class FaceFluxTable:
         return phi
 
 
+def _take_rows(x, index):
+    """Rows ``index`` of a 2-D per-face array: a view for a slice, else
+    ``np.take``, which gathers whole rows far faster than fancy indexing."""
+    return x[index] if isinstance(index, slice) else np.take(x, index, axis=0)
+
+
 def _terms_sum(D, values):
     """sum_j values[j] D[:, j], the terms added in order; each values[j] has
     the faces on its first axis, and D_ej is broadcast over the others."""
@@ -371,19 +377,22 @@ class NumericalFlux:
         The candidates are a, b and the critical points inside the interval,
         in that order; the first one attaining the extremum wins.  Returns
         s(w*) and the winner's index: 0 for a, 1 for b, 2 + j for
-        critical-point column j."""
+        critical-point column j.  A candidate beats the best so far where it
+        is strictly below it (``take_min``) or above it: never at a tie or a NaN."""
         t = self.table
-        lo = np.minimum(a, b)
-        hi = np.maximum(a, b)
         take_min = a <= b
-        pick_b = np.where(take_min, s_b < s_a, s_b > s_a)
+        lt = s_b < s_a
+        pick_b = (lt == take_min) & (lt | (s_b > s_a))
         s = np.where(pick_b, s_b, s_a)
         pick = pick_b.astype(np.intp)
+        if t.crit.shape[1]:
+            lo = np.minimum(a, b)
+            hi = np.maximum(a, b)
         for j, (c, c_s) in enumerate(zip(t.crit.T, t.crit_s.T)):
-            better = ((c > lo) & (c < hi)
-                      & np.where(take_min, c_s < s, c_s > s))
-            s = np.where(better, c_s, s)
-            pick = np.where(better, 2 + j, pick)
+            lt = c_s < s
+            better = (c > lo) & (c < hi) & (lt == take_min) & (lt | (c_s > s))
+            np.copyto(s, c_s, where=better)
+            np.copyto(pick, 2 + j, where=better)
         return s, pick
 
     def _inside(self, a, b):
@@ -488,7 +497,7 @@ class NumericalFlux:
             phi = t.separable_entropy(dU, np.concatenate([decomp.u_old, w]))
             S_a = _terms_sum(t.D, [p[mesh.face_left] for p in phi])
             S_b = _terms_sum(t.D, [p[mesh.face_right] for p in phi])
-            S_w = _terms_sum(t.D[rows], [p[n:] for p in phi])
+            S_w = _terms_sum(_take_rows(t.D, rows), [p[n:] for p in phi])
         else:
             S_a = t.entropy_average(dU, a)
             S_b = t.entropy_average(dU, b)
@@ -623,7 +632,7 @@ class ConvexDecomposition:
     tau: float
     u_old: np.ndarray             # (N,)
     u_new: np.ndarray             # (N,)
-    mu: np.ndarray                # (N,) tau p_K / |K|
+    mu: np.ndarray                # (S,) tau p_K / |K| of the slot's cell
     utilde: np.ndarray            # (S,)
     u_ke: np.ndarray              # (S,)
     div_corr: np.ndarray          # (N,) (tau/|K|) sum_e sign |e| s_e(u_K)
@@ -645,10 +654,10 @@ def step(state: SolverState, flux: FluxField, nf: NumericalFlux,
          threads: int = 1, need_decomposition: bool = True) -> tuple:
     """One explicit update; returns (new state, convex decomposition).
 
-    Each cell sums its signed face fluxes over its mesh slots in their fixed
-    order.  With ``need_decomposition=False`` the decomposition (two per-slot
-    state arrays and the divergence correction, a sizeable share of a plain
-    step) is skipped and ``None`` is returned in its place; the update itself
+    Each cell sums its signed face fluxes over its mesh slots with
+    ``SphereMesh.cell_sum``.  With ``need_decomposition=False`` the
+    decomposition (two per-slot state arrays and the divergence correction,
+    a sizeable share of a plain step) is skipped and ``None`` is returned in its place; the update itself
     is unchanged."""
     mesh = state.mesh
     u = state.u
@@ -661,9 +670,7 @@ def step(state: SolverState, flux: FluxField, nf: NumericalFlux,
     b = u[mesh.face_right]
     fvals, pick, s_a, s_b = _face_fluxes(nf, a, b, threads)
 
-    fid = mesh.cell_faces
-    sign = mesh.cell_signs
-    f_slot = fvals[fid]
+    f_slot = fvals[mesh.cell_faces]
     u_new = u - (tau / mesh.cell_area) * mesh.cell_sum(mesh.slot_measure * f_slot)
     if not np.all(np.isfinite(u_new)):
         bad = int(np.flatnonzero(~np.isfinite(u_new))[0])
@@ -675,11 +682,13 @@ def step(state: SolverState, flux: FluxField, nf: NumericalFlux,
     if not need_decomposition:
         return new_state, None
 
-    # convex decomposition, per slot
+    # convex decomposition, per slot; the jump sign (f - s(u_K)) is f - s_a
+    # on a left side, s_b - f (the bits of (-f) - (-s_b)) on a right side
     cell = mesh.slot_cell
-    mu = tau * mesh.cell_perimeter / mesh.cell_area
-    own_s = np.where(sign > 0, s_a[fid], s_b[fid])
-    utilde = u[cell] - mu[cell] * (sign * f_slot - sign * own_s)
+    mu = (tau * mesh.cell_perimeter / mesh.cell_area)[cell]
+    own_s = np.concatenate([s_a, s_b])[mesh.slot_side]
+    jump = np.concatenate([fvals - s_a, s_b - fvals])[mesh.slot_side]
+    utilde = u[cell] - mu * jump
     div_corr = (tau / mesh.cell_area) * mesh.cell_sum(mesh.slot_measure * own_s)
     u_ke = utilde - div_corr[cell]
 

@@ -39,12 +39,16 @@ flat slots, one per (cell, face) pair: the band cells' slots come first, four
 per cell in the fixed order [W, E, N, S], then the north and the south cap,
 n_phi rim slots each in increasing phi order.  Every cell owns a contiguous
 run of slots, and ``SphereMesh.cell_sum`` reduces per-slot values over each
-run in that fixed order, so all per-cell reductions are deterministic
-regardless of how the work is chunked.  Two per-slot weights are stored with
-them: ``slot_measure``, the signed arc length ``cell_signs *
-face_measure[cell_faces]`` with which a canonical face value enters the
-cell, and ``slot_weight``, |e| |K| / p_K, the slot's weight in the cell's
-convex decomposition.
+run with one fixed association, x_W + ((x_E + x_N) + x_S) for a band cell
+and ``np.add.reduceat`` over a cap's rim: the association ``reduceat`` uses
+on a 4-slot run, so every per-cell sum is that of one ``reduceat`` over all
+slots bit for bit, signed zeros included, however the work is chunked.
+Three per-slot arrays are stored with them: ``slot_measure``, the signed arc
+length ``cell_signs * face_measure[cell_faces]`` with which a canonical face
+value enters the cell, ``slot_weight``, |e| |K| / p_K, the slot's weight in
+the cell's convex decomposition, and ``slot_side``, the face id plus F on
+the face's right cell, with which ``np.concatenate([x_left,
+x_right])[slot_side]`` gathers each slot's own side of per-face values.
 
 The mesh size h is the largest intrinsic (great-circle) cell diameter.  A cap
 is a geodesic disc of radius theta_min, of diameter 2 theta_min.  A band
@@ -114,12 +118,14 @@ class SphereMesh:
     slot_start: np.ndarray      # (N,) first slot of each cell
     slot_measure: np.ndarray = field(init=False)   # (S,) cell_signs |e|
     slot_weight: np.ndarray = field(init=False)    # (S,) |e| |K| / p_K
+    slot_side: np.ndarray = field(init=False)      # (S,) face id, + F on the right side
 
     def __post_init__(self):
         measure = self.face_measure[self.cell_faces]
         self.slot_measure = self.cell_signs * measure
         self.slot_weight = (measure * self.cell_area[self.slot_cell]
                             / self.cell_perimeter[self.slot_cell])
+        self.slot_side = self.cell_faces + np.where(self.cell_signs > 0, 0, self.n_faces)
 
     @property
     def n_cells(self) -> int:
@@ -138,9 +144,19 @@ class SphereMesh:
         return st2 * comp[0] * self.face_n_phi[faces] + comp[1] * self.face_n_theta[faces]
 
     def cell_sum(self, slot_values: np.ndarray) -> np.ndarray:
-        """Per-cell sums of per-slot values, each taken over the cell's slots
-        in their fixed order."""
-        return np.add.reduceat(slot_values, self.slot_start)
+        """Per-cell sums of the (S,) per-slot values: x_W + ((x_E + x_N) + x_S)
+        for a band cell, ``np.add.reduceat`` over each cap's rim slots."""
+        if len(slot_values) != len(self.cell_faces):
+            raise ValueError(f"cell_sum takes one value per slot ({len(self.cell_faces)}), "
+                             f"got {len(slot_values)}")
+        n_band = self.n_phi * self.n_theta
+        band = slot_values[:4 * n_band].reshape(n_band, 4)
+        out = np.empty(n_band + 2, dtype=slot_values.dtype)
+        np.add(band[:, 1], band[:, 2], out=out[:n_band])
+        out[:n_band] += band[:, 3]
+        out[:n_band] += band[:, 0]
+        out[n_band:] = np.add.reduceat(slot_values[4 * n_band:], [0, self.n_phi])
+        return out
 
 
 def _arc(theta1, theta2, dphi):

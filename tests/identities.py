@@ -2,8 +2,9 @@
 the divergence/Lie-derivative chain-rule identities used by both the geometry
 unit tests and the acceptance suite, the node-average quadrature oracle for
 the solver's face tables, the per-segment quadrature oracle for the
-Engquist-Osher entropy flux, and cross-product fluxes f = n x Phi, which
-carry no face restriction for the solver."""
+Engquist-Osher entropy flux, cross-product fluxes f = n x Phi, which
+carry no face restriction for the solver, and the general forms of the
+solver's per-cell sum and Godunov selection, oracles of their bits."""
 
 import math
 from typing import Callable
@@ -77,6 +78,34 @@ def eo_entropy_integral(nf, dU, a, b):
         integral = 0.5 * (q - p) * np.sum(_GL_W * vals, axis=-1)
         total += np.where((q > p) & midsign, integral, 0.0)
     return np.sign(b - a) * total
+
+
+# ---------------------------------------------------------------------------
+# general forms of the per-cell sum and the Godunov selection
+# ---------------------------------------------------------------------------
+
+def reduceat_cell_sum(mesh, slot_values):
+    """Per-cell sums by one ``np.add.reduceat`` over every cell's contiguous
+    run of slots, whose association ``SphereMesh.cell_sum`` reproduces."""
+    return np.add.reduceat(slot_values, mesh.slot_start)
+
+
+def where_godunov_state(crit, crit_s, a, b, s_a, s_b):
+    """(s(w*), winner index) of ``NumericalFlux._godunov_state`` for the
+    critical points ``crit`` with values ``crit_s``, each comparison chosen by
+    ``np.where`` over the boolean arrays of both directions."""
+    lo = np.minimum(a, b)
+    hi = np.maximum(a, b)
+    take_min = a <= b
+    pick_b = np.where(take_min, s_b < s_a, s_b > s_a)
+    s = np.where(pick_b, s_b, s_a)
+    pick = pick_b.astype(np.intp)
+    for j, (c, c_s) in enumerate(zip(crit.T, crit_s.T)):
+        better = ((c > lo) & (c < hi)
+                  & np.where(take_min, c_s < s, c_s > s))
+        s = np.where(better, c_s, s)
+        pick = np.where(better, 2 + j, pick)
+    return s, pick
 
 
 # ---------------------------------------------------------------------------

@@ -231,3 +231,29 @@ def test_monitor_takes_alpha_once_per_state_box(monkeypatch):
     state, decomp = step(state, flux, nf)
     monitor(state, decomp)
     assert boxes[2:] == [(-2.0, 2.0)] * 2
+
+
+def test_monitor_takes_entropy_masses_from_the_reports(monkeypatch):
+    mesh, flux, nf, tau, state = _setup()
+    specs = [square_spec(), kruzkov_spec(0.0)]
+    monitor = Monitor(mesh, nf, entropies=specs)
+    monitor.record_initial(state)
+    calls = []
+    u_values = EntropySpec.u_values
+
+    def counted(self, u):
+        calls.append(self.name)
+        return u_values(self, u)
+
+    monkeypatch.setattr(EntropySpec, "u_values", counted)
+    for _ in range(3):
+        state, decomp = step(state, flux, nf)
+        state.tau = tau
+        monitor(state, decomp)
+    # U at the old and new cell states and at the two per-slot states, no more
+    assert len(calls) == 3 * 4 * len(specs)
+    monkeypatch.undo()
+    last = monitor.records[-1]
+    for spec in specs:
+        mass = float(np.sum(spec.u_values(state.u) * mesh.cell_area))
+        assert last.entropy_mass[spec.name] == mass

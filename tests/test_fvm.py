@@ -30,7 +30,7 @@ from spherefv import fvm
 from spherefv.fvm import FaceFluxTable, NumericalFlux
 from spherefv.mesh import MERIDIAN
 
-from identities import NodeAverageTable, cross_flux, eo_entropy_integral
+from identities import NodeAverageTable, cross_flux, eo_entropy_integral, where_godunov_state
 
 
 def _setup(kind=GODUNOV, n_phi=8, n_theta=4, flux_name="latitude_burgers",
@@ -102,6 +102,48 @@ def test_godunov_state_is_first_extremal_candidate(flux_name, params):
             # min and max return the first extremal candidate
             first = (min if a[e] <= b[e] else max)(cands, key=lambda p: p[1])
             assert (pick[e], s[e]) == first
+
+
+@pytest.mark.parametrize("n_phi, n_theta", [(3, 2), (8, 4), (47, 24), (48, 24)])
+def test_godunov_state_matches_where_selection_bitwise(n_phi, n_theta):
+    mesh = build_latlon(n_phi, n_theta, 0.3)
+    flux = make_flux("potential", {"a": "0.5*u^2*n3 + u*n1*n2 + sin(3*u)*n1^2*n2"})
+    nf = make_numerical_flux(GODUNOV, mesh, flux, box=(-1.5, 1.5))
+    t = nf.table
+    n = mesh.n_faces
+    rng = np.random.default_rng(n_phi * n_theta)
+    states = np.array([0.0, -0.0, 0.5, -0.5, 1.0, -1.0])
+    values = np.array([0.0, -0.0, 0.25, -0.25, 1.0, np.nan])
+
+    def check(nf, a, b, s_a, s_b):
+        got = nf._godunov_state(a, b, s_a, s_b)
+        want = where_godunov_state(nf.table.crit, nf.table.crit_s, a, b, s_a, s_b)
+        assert np.array_equal(_bits(got[0]), _bits(want[0]))
+        assert np.array_equal(got[1], want[1])
+        return got[1]
+
+    # the table's own critical points (NaN columns past a face's count), ties
+    # a = b and, for the even potential term, s_a = s_b
+    a = rng.choice(states, n)
+    b = np.where(rng.random(n) < 0.2, a, rng.choice(states, n))
+    assert np.isnan(t.crit).any() and np.any(a == b)
+    pick = check(nf, a, b, t.s(a), t.s(b))
+    assert np.any(pick >= 2)
+    # drawn s values and critical points: signed zeros, ties with the
+    # candidates, NaN values and a whole NaN column
+    v = t.view(slice(None))
+    v.crit = rng.choice(np.r_[states, 0.75, np.nan], (n, 4))
+    v.crit[:, 2] = np.nan
+    v.crit_s = np.where(np.isnan(v.crit), np.nan, rng.choice(values[:-1], (n, 4)))
+    other = replace(nf, table=v)
+    winners = set()
+    for _ in range(8):
+        a, b = rng.choice(states, n), rng.choice(states, n)
+        winners.update(check(other, a, b, rng.choice(values, n), rng.choice(values, n)))
+    assert {0, 1} < winners and 4 not in winners
+    # no critical-point columns at all
+    v.crit, v.crit_s = v.crit[:, :0], v.crit_s[:, :0]
+    check(other, a, b, rng.choice(values, n), rng.choice(values, n))
 
 
 def _variation_sorted_partition(nf, a, b, s_a, s_b):

@@ -14,6 +14,11 @@ from spherefv import (
 )
 from spherefv.mesh import CAP_RIM, LATITUDE, MERIDIAN, _cell_polygon, export_vtk
 
+from identities import reduceat_cell_sum
+
+# signed zeros, units and tiny values, whose sums depend on the association
+_EDGE_VALUES = np.array([0.0, -0.0, 1.0, -1.0, 1e-300, -1e-300])
+
 
 def test_band_cell_area_closed_form():
     mesh = build_latlon(4, 2, math.pi / 4)
@@ -87,6 +92,49 @@ def test_slot_weights(small_mesh):
     # sum_e |e| |K| / p_K = |K|
     assert np.all(m.slot_weight > 0.0)
     assert np.abs(m.cell_sum(m.slot_weight) / m.cell_area - 1.0).max() <= 1e-14
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("n_phi, n_theta", [(3, 2), (8, 4), (47, 24), (48, 24)])
+def test_cell_sum_matches_reduceat_bitwise(n_phi, n_theta):
+    m = build_latlon(n_phi, n_theta, 0.3)
+    n_slots = m.cell_faces.size
+    rng = np.random.default_rng(n_phi)
+    # every combination of the edge values over a band cell's four slots
+    combos = np.array(list(itertools.product(_EDGE_VALUES, repeat=4))).ravel()
+    for values in (rng.choice(_EDGE_VALUES, n_slots),
+                   rng.standard_normal(n_slots) * 10.0 ** rng.integers(-8, 8, n_slots),
+                   np.resize(combos, n_slots),
+                   np.resize(combos[::-1], n_slots)):
+        assert np.array_equal(_bits(m.cell_sum(values)), _bits(reduceat_cell_sum(m, values)))
+
+
+@pytest.mark.parametrize("n_phi, n_theta", [(3, 2), (48, 24), (256, 128)])
+def test_cell_sum_rejects_other_lengths(n_phi, n_theta):
+    m = build_latlon(n_phi, n_theta, 0.3)
+    n_slots = m.cell_faces.size
+    for size in (n_slots - 1, n_slots + 3, m.n_faces, m.n_cells):
+        with pytest.raises(ValueError, match="one value per slot"):
+            m.cell_sum(np.ones(size))
+    assert m.cell_sum(np.ones(n_slots)).shape == (m.n_cells,)
+
+
+@pytest.mark.parametrize("n_phi, n_theta", [(3, 2), (8, 4), (47, 24), (48, 24)])
+def test_slot_side_gathers_the_own_side(n_phi, n_theta):
+    m = build_latlon(n_phi, n_theta, 0.3)
+    fid, sign = m.cell_faces, m.cell_signs
+    rng = np.random.default_rng(n_theta)
+    x_left, x_right, f = (rng.choice(np.r_[_EDGE_VALUES, rng.standard_normal(4)], m.n_faces)
+                          for _ in range(3))
+    own = np.where(sign > 0, x_left[fid], x_right[fid])
+    assert np.array_equal(_bits(np.concatenate([x_left, x_right])[m.slot_side]), _bits(own))
+    # the step's jump sign f - sign s(u_K), with s_b - f on a right side
+    assert np.array_equal(_bits(np.concatenate([f - x_left, x_right - f])[m.slot_side]),
+                          _bits(sign * f[fid] - sign * own))
+    assert np.array_equal(m.slot_side % m.n_faces, fid)
 
 
 @pytest.mark.parametrize("n_phi, n_theta", [(3, 2), (8, 4), (13, 7)])
