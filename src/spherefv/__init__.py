@@ -30,13 +30,10 @@ from .geometry import (
     sphere_chart,
 )
 from .flux import (
-    EntropyPair,
     FluxField,
     TVDReport,
     divfree_residual,
-    entropy_flux,
     from_potential,
-    kruzkov_pair,
     make_flux,
     separable,
     tvd_compatibility,

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import locale  # noqa: F401 - argparse's first gettext lookup imports it; not inside main
 import math
 import os
 import sys
@@ -311,12 +312,13 @@ def oracle_compare(cfg: ScenarioConfig, out_dir: str, threads: int = 1) -> int:
 
     state = replace(sc.state0, tau=sc.tau)
     worst = 0.0
-    for _ in range(n_steps):
-        state.tau = sc.tau
-        state, _decomp = fvm.step(state, sc.flux, nf, threads=threads)
-        for cells, oracle in oracles:
-            oracle.step(sc.tau)
-            worst = max(worst, float(np.abs(state.u[cells] - oracle.u).max()))
+    with fvm.thread_pool(threads) as pool:
+        for _ in range(n_steps):
+            state.tau = sc.tau
+            state, _decomp = fvm.step(state, sc.flux, nf, threads=threads, pool=pool)
+            for cells, oracle in oracles:
+                oracle.step(sc.tau)
+                worst = max(worst, float(np.abs(state.u[cells] - oracle.u).max()))
 
     payload = {
         "command": "oracle",

@@ -2,9 +2,11 @@
 
 Provides fluxes that are sums of separable terms f(u, x) = sum_j g_j(u) X_j(x),
 construction from scalar potentials (automatically divergence-free, in the
-cross-product form f = n x Phi), entropy pairs (smooth and Kruzkov), divergence residuals, and
-the compatibility checks that decide whether total variation along a vector
-field X is non-increasing.
+cross-product form f = n x Phi), divergence residuals, and the compatibility
+checks that decide whether total variation along a vector field X is
+non-increasing.  The solver's entropy fluxes are face quantities
+(``fvm.FaceFluxTable``, ``fvm.NumericalFlux``); the pointwise entropy pairs
+F(u, x) live with the tests as their oracle.
 
 All flux callables are numpy-vectorized: ``f(u, phi, theta)`` accepts scalars
 or broadcastable arrays and returns an array of shape ``(2,) + broadcast``
@@ -18,10 +20,9 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import quad_vec
 
 from . import geometry
-from .errors import ConfigError, DegenerateSampleError, InputError
+from .errors import ConfigError, DegenerateSampleError
 from .expressions import (compile_expression, compile_node, differentiate, parse_expression,
                           split_terms)
 
@@ -222,75 +223,6 @@ def _potential_term(g, A) -> Term:
 def tangential_potential_gradient(a: Callable, u, phi, theta, step: float = _FD_STEP):
     """Phi = tangential gradient of a(u, .) at n(phi, theta); shape (3,) + broadcast."""
     return _tangential_gradient(a, u, _sphere_normals(phi, theta)[0], step)
-
-
-# ---------------------------------------------------------------------------
-# entropy pairs
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class EntropyPair:
-    """Convex entropy U with its flux F satisfying d_u F = U'(u) f_u."""
-
-    U: Callable
-    dU: Callable
-    F: Callable                       # (u, phi, theta) -> shape (2,) + broadcast
-    kind: str = "smooth"              # "smooth" or "kruzkov"
-    k: Optional[float] = None         # Kruzkov reference state
-
-
-def _check_convex(U: Callable, interval, n: int = 1001) -> None:
-    """Reject U whose sampled second differences are significantly negative."""
-    grid = np.linspace(interval[0], interval[1], n)
-    vals = np.array([U(g) for g in grid])
-    second = vals[2:] - 2 * vals[1:-1] + vals[:-2]
-    scale = max(1.0, float(np.abs(vals).max()))
-    if second.min() < -1e-12 * scale:
-        raise InputError("entropy U is not convex on the sampled interval")
-
-
-def entropy_flux(U: Callable, f: FluxField, u_ref: float = 0.0,
-                 dU: Optional[Callable] = None, interval=(-2.0, 2.0),
-                 quad_tol: float = 1e-10) -> EntropyPair:
-    """Entropy pair with F(u, .) = integral of U'(v) f_u(v, .) from u_ref to u.
-
-    The integral is evaluated by adaptive quadrature to ``quad_tol``.  For
-    Kruzkov entropies use :func:`kruzkov_pair` (closed form)."""
-    _check_convex(U, interval)
-    if dU is None:
-        def dU(u, _U=U):  # noqa: ANN001 - numeric derivative fallback
-            return _stencil(lambda d: _U(u + d))
-
-    def F(u, phi, theta):
-        phi = np.asarray(phi, dtype=float)
-        theta = np.asarray(theta, dtype=float)
-        if np.isscalar(u) or np.asarray(u).ndim == 0:
-            lo, hi = float(u_ref), float(u)
-            if lo == hi:
-                return np.zeros((2,) + np.broadcast(phi, theta).shape)
-            val, _err = quad_vec(lambda v: dU(v) * f.f_u(v, phi, theta),
-                                 lo, hi, epsabs=quad_tol, epsrel=1e-12)
-            return val
-        flat = np.asarray(u, dtype=float)
-        out = np.stack([F(ui, phi, theta) for ui in flat.ravel()])
-        return np.moveaxis(out.reshape(flat.shape + out.shape[1:]), flat.ndim, 0)
-
-    return EntropyPair(U=U, dU=dU, F=F, kind="smooth")
-
-
-def kruzkov_pair(f: FluxField, k: float) -> EntropyPair:
-    """Kruzkov entropy |u - k| with flux sgn(u - k)(f(u, .) - f(k, .))."""
-
-    def U(u):
-        return np.abs(u - k)
-
-    def dU(u):
-        return np.sign(u - k)
-
-    def F(u, phi, theta):
-        return np.sign(np.asarray(u, dtype=float) - k) * (f.f(u, phi, theta) - f.f(k, phi, theta))
-
-    return EntropyPair(U=U, dU=dU, F=F, kind="kruzkov", k=k)
 
 
 # ---------------------------------------------------------------------------

@@ -73,6 +73,7 @@ touch k evaluate F again.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -121,8 +122,8 @@ class FaceFluxTable:
         self.q_phi = mesh.face_q_phi
         self.measure = mesh.face_measure
         self.D = self.ends = None
-        ends = (None if flux.potential is None
-                else np.ascontiguousarray(mesh.vertex_xyz[mesh.face_vertices].T))
+        ends = (None if flux.potential is None else
+                np.take(np.ascontiguousarray(mesh.vertex_xyz.T), mesh.face_vertices.T, axis=1))
         if flux.terms:
             self.D = np.column_stack([self._coefficients(term, ends) for term in flux.terms])
         elif ends is not None:
@@ -651,14 +652,15 @@ class ConvexDecomposition:
 
 
 def step(state: SolverState, flux: FluxField, nf: NumericalFlux,
-         threads: int = 1, need_decomposition: bool = True) -> tuple:
+         threads: int = 1, need_decomposition: bool = True, pool=None) -> tuple:
     """One explicit update; returns (new state, convex decomposition).
 
     Each cell sums its signed face fluxes over its mesh slots with
     ``SphereMesh.cell_sum``.  With ``need_decomposition=False`` the
     decomposition (two per-slot state arrays and the divergence correction,
     a sizeable share of a plain step) is skipped and ``None`` is returned in its place; the update itself
-    is unchanged."""
+    is unchanged.  With ``threads > 1`` the faces are evaluated on ``pool``
+    (see :func:`thread_pool`), or on a pool made for this step if it is None."""
     mesh = state.mesh
     u = state.u
     tau = state.tau
@@ -668,7 +670,7 @@ def step(state: SolverState, flux: FluxField, nf: NumericalFlux,
 
     a = u[mesh.face_left]
     b = u[mesh.face_right]
-    fvals, pick, s_a, s_b = _face_fluxes(nf, a, b, threads)
+    fvals, pick, s_a, s_b = _face_fluxes(nf, a, b, threads, pool)
 
     f_slot = fvals[mesh.cell_faces]
     u_new = u - (tau / mesh.cell_area) * mesh.cell_sum(mesh.slot_measure * f_slot)
@@ -699,20 +701,30 @@ def step(state: SolverState, flux: FluxField, nf: NumericalFlux,
     return new_state, decomp
 
 
-def _face_fluxes(nf: NumericalFlux, a: np.ndarray, b: np.ndarray, threads: int):
+def thread_pool(threads: int):
+    """A context manager that gives a ``threads``-worker pool for
+    :func:`step`, or None (serial evaluation, no pool) for ``threads <= 1``."""
+    if threads <= 1:
+        return contextlib.nullcontext()
+    from concurrent.futures import ThreadPoolExecutor
+    return ThreadPoolExecutor(max_workers=threads)
+
+
+def _face_fluxes(nf: NumericalFlux, a: np.ndarray, b: np.ndarray, threads: int, pool):
     """Numerical flux values, Godunov winners (None for other kinds; see
     :meth:`NumericalFlux._values`) and s at both states for all faces.
 
     With ``threads > 1`` the face range is split into contiguous chunks that
-    are evaluated concurrently on table views; every per-face computation is
-    row-independent, so the assembled result is bitwise identical to the
-    single-chunk evaluation."""
+    are evaluated concurrently on table views, on ``pool`` or on a pool made
+    for this call; every per-face computation is row-independent, so the
+    assembled result is bitwise identical to the single-chunk evaluation."""
     t = nf.table
     if threads <= 1 or t.n_faces < 2 * threads:
         s_a, s_b = t.s(a), t.s(b)
         return (*nf._values(a, b, s_a, s_b), s_a, s_b)
-
-    from concurrent.futures import ThreadPoolExecutor
+    if pool is None:
+        with thread_pool(threads) as pool:
+            return _face_fluxes(nf, a, b, threads, pool)
 
     bounds = np.linspace(0, t.n_faces, threads + 1).astype(int)
 
@@ -721,22 +733,25 @@ def _face_fluxes(nf: NumericalFlux, a: np.ndarray, b: np.ndarray, threads: int):
         sa, sb = part.table.s(a[lo:hi]), part.table.s(b[lo:hi])
         return (*part._values(a[lo:hi], b[lo:hi], sa, sb), sa, sb)
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(lambda pair: work(*pair), zip(bounds[:-1], bounds[1:])))
+    parts = list(pool.map(lambda pair: work(*pair), zip(bounds[:-1], bounds[1:])))
     return tuple(None if col[0] is None else np.concatenate(col) for col in zip(*parts))
 
 
 def run(state0: SolverState, flux: FluxField, nf: NumericalFlux, T: float,
         tau: float, hooks: Sequence[Callable] = (), threads: int = 1) -> SolverState:
-    """Step until t >= T, shortening the final step to land exactly on T."""
+    """Step until t >= T, shortening the final step to land exactly on T.
+
+    With ``threads > 1`` every step evaluates its faces on one pool, made
+    once for the run."""
     if T < 0.0:
         raise ConfigError(f"final time must be non-negative, got {T}")
     state = replace(state0, tau=tau)
     need_decomp = len(hooks) > 0
-    while state.t < T:
-        state.tau = min(tau, T - state.t)
-        state, decomp = step(state, flux, nf, threads=threads,
-                             need_decomposition=need_decomp)
-        for hook in hooks:
-            hook(state, decomp)
+    with thread_pool(threads) as pool:
+        while state.t < T:
+            state.tau = min(tau, T - state.t)
+            state, decomp = step(state, flux, nf, threads=threads,
+                                 need_decomposition=need_decomp, pool=pool)
+            for hook in hooks:
+                hook(state, decomp)
     return state

@@ -3,16 +3,20 @@ the divergence/Lie-derivative chain-rule identities used by both the geometry
 unit tests and the acceptance suite, the node-average quadrature oracle for
 the solver's face tables, the per-segment quadrature oracle for the
 Engquist-Osher entropy flux, cross-product fluxes f = n x Phi, which
-carry no face restriction for the solver, and the general forms of the
-solver's per-cell sum and Godunov selection, oracles of their bits."""
+carry no face restriction for the solver, the pointwise entropy pairs, with
+adaptive quadrature, and the general forms of the solver's per-cell sum and
+Godunov selection, oracles of their bits."""
 
 import math
-from typing import Callable
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
+from scipy.integrate import quad_vec
 
 from spherefv import fvm, geometry
+from spherefv.errors import InputError
 from spherefv.flux import FluxField, _cross_components, _sphere_normals, _stencil
 from spherefv.geometry import VectorField, fd_gradient
 
@@ -133,6 +137,75 @@ def embedded_flux(f: FluxField, u: float, phi: float, theta: float) -> np.ndarra
     """Ambient R^3 tangent vector of f(u, .) at a point."""
     comp = np.asarray(f.f(u, phi, theta), dtype=float).reshape(2)
     return geometry.embedded_vector(comp, phi, theta)
+
+
+# ---------------------------------------------------------------------------
+# entropy pairs
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class EntropyPair:
+    """Convex entropy U with its flux F satisfying d_u F = U'(u) f_u."""
+
+    U: Callable
+    dU: Callable
+    F: Callable                       # (u, phi, theta) -> shape (2,) + broadcast
+    kind: str = "smooth"              # "smooth" or "kruzkov"
+    k: Optional[float] = None         # Kruzkov reference state
+
+
+def _check_convex(U: Callable, interval, n: int = 1001) -> None:
+    """Reject U whose sampled second differences are significantly negative."""
+    grid = np.linspace(interval[0], interval[1], n)
+    vals = np.array([U(g) for g in grid])
+    second = vals[2:] - 2 * vals[1:-1] + vals[:-2]
+    scale = max(1.0, float(np.abs(vals).max()))
+    if second.min() < -1e-12 * scale:
+        raise InputError("entropy U is not convex on the sampled interval")
+
+
+def entropy_flux(U: Callable, f: FluxField, u_ref: float = 0.0,
+                 dU: Optional[Callable] = None, interval=(-2.0, 2.0),
+                 quad_tol: float = 1e-10) -> EntropyPair:
+    """Entropy pair with F(u, .) = integral of U'(v) f_u(v, .) from u_ref to u.
+
+    The integral is evaluated by adaptive quadrature to ``quad_tol``.  For
+    Kruzkov entropies use :func:`kruzkov_pair` (closed form)."""
+    _check_convex(U, interval)
+    if dU is None:
+        def dU(u, _U=U):  # noqa: ANN001 - numeric derivative fallback
+            return _stencil(lambda d: _U(u + d))
+
+    def F(u, phi, theta):
+        phi = np.asarray(phi, dtype=float)
+        theta = np.asarray(theta, dtype=float)
+        if np.isscalar(u) or np.asarray(u).ndim == 0:
+            lo, hi = float(u_ref), float(u)
+            if lo == hi:
+                return np.zeros((2,) + np.broadcast(phi, theta).shape)
+            val, _err = quad_vec(lambda v: dU(v) * f.f_u(v, phi, theta),
+                                 lo, hi, epsabs=quad_tol, epsrel=1e-12)
+            return val
+        flat = np.asarray(u, dtype=float)
+        out = np.stack([F(ui, phi, theta) for ui in flat.ravel()])
+        return np.moveaxis(out.reshape(flat.shape + out.shape[1:]), flat.ndim, 0)
+
+    return EntropyPair(U=U, dU=dU, F=F, kind="smooth")
+
+
+def kruzkov_pair(f: FluxField, k: float) -> EntropyPair:
+    """Kruzkov entropy |u - k| with flux sgn(u - k)(f(u, .) - f(k, .))."""
+
+    def U(u):
+        return np.abs(u - k)
+
+    def dU(u):
+        return np.sign(u - k)
+
+    def F(u, phi, theta):
+        return np.sign(np.asarray(u, dtype=float) - k) * (f.f(u, phi, theta) - f.f(k, phi, theta))
+
+    return EntropyPair(U=U, dU=dU, F=F, kind="kruzkov", k=k)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import spherefv
 from spherefv.cli import convergence_study, load_config, main
 from spherefv.errors import ConfigError
 
@@ -150,3 +154,36 @@ def test_deep_initial_expression_exit_2(tmp_path):
     cfg = _write_config(tmp_path / "c.json",
                         initial={"expression": "(" * 300 + "n3" + ")" * 300})
     assert main(["run", cfg]) == 2
+
+
+def _fresh_python(code, *args):
+    """Run ``code`` with ``args`` in a new interpreter that imports this
+    package; the last line it prints, read as JSON."""
+    src = os.path.dirname(os.path.dirname(spherefv.__file__))
+    done = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), check=True)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_import_loads_no_scipy():
+    loaded = _fresh_python("import json, sys\nimport spherefv\nprint(json.dumps(list(sys.modules)))")
+    assert "spherefv.cli" in loaded
+    assert [name for name in loaded if name.split(".")[0] == "scipy"] == []
+
+
+@pytest.mark.parametrize("command, overrides", [
+    (["run"], {}),
+    (["run"], {"flux": {"name": "potential", "params": {"a": "u*n3 + 0.3*u^2*n1"}},
+               "numerical_flux": {"kind": "engquist_osher", "safety": 0.5},
+               "diagnostics": {"tv_fields": [], "entropies": ["square", "kruzkov:0"]}}),
+    (["converge", "--levels", "2"], {"flux": {"name": "solid_rotation", "params": {"omega": 1.0}},
+                                     "initial": {"name": "equatorial_bump"}, "T": 0.5}),
+], ids=["run-burgers-godunov", "run-potential-eo", "converge-rotation"])
+def test_main_first_imports_no_module(tmp_path, command, overrides):
+    # every module a command needs is loaded before main, so start-up is not timed in main
+    cfg = _write_config(tmp_path / "c.json", **overrides)
+    code = ("import json, sys\nfrom spherefv import cli\nbefore = set(sys.modules)\n"
+            "assert cli.main(sys.argv[1:]) == 0\n"
+            "print(json.dumps(sorted(set(sys.modules) - before)))")
+    assert _fresh_python(code, command[0], cfg, *command[1:], "--out-dir",
+                         str(tmp_path / "out"), "--threads", "1") == []

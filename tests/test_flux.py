@@ -9,9 +9,7 @@ from spherefv import (
     InputError,
     VectorField,
     divfree_residual,
-    entropy_flux,
     from_potential,
-    kruzkov_pair,
     make_flux,
     sphere_chart,
     tvd_compatibility,
@@ -20,7 +18,7 @@ from spherefv import geometry
 from spherefv.flux import tangential_potential_gradient
 
 from conftest import random_points
-from identities import cross_flux, embedded_flux
+from identities import cross_flux, embedded_flux, entropy_flux, kruzkov_pair
 
 
 # ---------------------------------------------------------------------------

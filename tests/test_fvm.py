@@ -393,6 +393,25 @@ def test_threaded_step_bitwise_identical(kind, name, params):
     assert np.array_equal(s1.u, s8.u)
 
 
+def test_threaded_run_makes_one_pool(monkeypatch):
+    import concurrent.futures
+
+    made = []
+
+    class CountingPool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            made.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingPool)
+    mesh, flux, nf, tau = _setup(GODUNOV)
+    state = _initial(mesh)
+    threaded = run(state, flux, nf, T=10 * tau, tau=tau, hooks=[lambda s, d: None], threads=2)
+    assert threaded.n == 10 and made == [2]
+    serial = run(state, flux, nf, T=10 * tau, tau=tau, hooks=[lambda s, d: None], threads=1)
+    assert made == [2] and np.array_equal(serial.u, threaded.u)
+
+
 def test_table_view_matches_full_evaluation():
     mesh, flux, nf, _ = _setup(GODUNOV)
     rng = np.random.default_rng(46)
@@ -568,6 +587,15 @@ def test_potential_constant_state_preserved(a, n_phi, n_theta):
         state.tau = cfl_timestep(mesh, flux, nf, box, 0.5)
         new, _ = step(state, flux, nf)
         assert np.abs(new.u - 0.75).max() <= 1e-14
+
+
+@pytest.mark.parametrize("n_phi, n_theta", [(3, 2), (48, 24)])
+def test_face_ends_match_vertex_rows_bitwise(n_phi, n_theta):
+    mesh = build_latlon(n_phi, n_theta, 0.3)
+    table = FaceFluxTable(mesh, make_flux("potential", {"a": UNSPLIT}), (-1.5, 1.5))
+    expected = np.ascontiguousarray(mesh.vertex_xyz[mesh.face_vertices].T)
+    assert table.ends.shape == (3, 2, mesh.n_faces) and table.ends.flags.c_contiguous
+    np.testing.assert_array_equal(_bits(table.ends), _bits(expected))
 
 
 # The potentials' coefficient tables against the node-average oracle
