@@ -33,7 +33,6 @@ from .flux import (
     FluxField,
     TVDReport,
     divfree_residual,
-    from_potential,
     make_flux,
     separable,
     tvd_compatibility,

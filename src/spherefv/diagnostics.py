@@ -139,7 +139,6 @@ class EntropyStepRecord:
 
     name: str
     worst_pc10: float              # max residual of the per-face inequality
-    worst_pc11: float              # same with u_{K,e} (bounded by R)
     max_abs_r: float               # max |R_{K,e}| = |U(u_{K,e}) - U(utilde_{K,e})|
     pc12_lhs: float
     pc12_rhs: float
@@ -173,7 +172,6 @@ def entropy_report(nf: NumericalFlux, decomp: ConvexDecomposition,
     U_ke = spec.u_values(decomp.u_ke)
     pc10 = U_tilde - U_old + mu_Gdiff
     R = U_ke - U_tilde
-    pc11 = U_ke - U_old + mu_Gdiff - R
 
     # dissipation estimate with the modulus of convexity
     wKe = mesh.slot_weight
@@ -192,7 +190,6 @@ def entropy_report(nf: NumericalFlux, decomp: ConvexDecomposition,
     return EntropyStepRecord(
         name=spec.name,
         worst_pc10=float(pc10.max()),
-        worst_pc11=float(pc11.max()),
         max_abs_r=float(np.abs(R).max()),
         pc12_lhs=lhs,
         pc12_rhs=rhs,

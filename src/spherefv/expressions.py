@@ -11,7 +11,7 @@ every other node, so no formula text is ever executed.
 Compiled expressions evaluate the tree with numpy broadcasting over array
 inputs.  :func:`differentiate` gives the exact partial derivative of a parsed
 expression as another expression tree, so a flux potential a(u, n) yields its
-a_u without a finite-difference stencil.  :func:`split_terms` writes an
+a_u and the gradients of a and a_u in n without a finite-difference stencil.  :func:`split_terms` writes an
 expression as a sum of products g_j(u) X_j(n) when it is one.
 """
 

@@ -1,10 +1,11 @@
 """Flux fields f(u, x) on the sphere.
 
 Provides fluxes that are sums of separable terms f(u, x) = sum_j g_j(u) X_j(x),
-construction from scalar potentials (automatically divergence-free, in the
-cross-product form f = n x Phi), divergence residuals, and the compatibility
-checks that decide whether total variation along a vector field X is
-non-increasing.  The solver's entropy fluxes are face quantities
+construction from scalar potential expressions a(u, n) (automatically
+divergence-free, in the cross-product form f = n x grad a, with f and f_u
+from the exact derivatives of a), divergence residuals, and the
+compatibility checks that decide whether total variation along a vector
+field X is non-increasing.  The solver's entropy fluxes are face quantities
 (``fvm.FaceFluxTable``, ``fvm.NumericalFlux``); the pointwise entropy pairs
 F(u, x) live with the tests as their oracle.
 
@@ -27,6 +28,7 @@ from .expressions import (compile_expression, compile_node, differentiate, parse
                           split_terms)
 
 _FD_STEP = 1e-3
+_NORMAL = ("n1", "n2", "n3")
 
 
 def _stencil(shifted: Callable, step: float = _FD_STEP):
@@ -158,38 +160,21 @@ def _cross_components(vec, n_phi, n_theta):
                                         -np.sum(vec * n_phi, axis=0) / st))
 
 
-def _tangential_gradient(a: Callable, u, n, step: float):
-    """Tangential part of the ambient gradient of a(u, .) at the unit normals
-    ``n``; shape (3,) + broadcast, ``u`` included (a_u may not depend on u)."""
-    n = _lift(n, np.ndim(u) + 1)
-    axes = np.eye(3).reshape((3, 3) + (1,) * (n.ndim - 1))
-    grad = np.stack(np.broadcast_arrays(
-        *[_stencil(lambda d, e=e: a(u, *(n + d * e)), step) for e in axes], u)[:3])
-    return grad - np.sum(grad * n, axis=0) * n
+def _cross_gradient(tree, symbols) -> Callable:
+    """The field n x grad a of the tree ``a`` in ``symbols`` (n1, n2, n3 and
+    any state symbols), with the exact grad a from :func:`differentiate`.
+    It takes ``(phi, theta, **state)``, n lifted over the state's axes, and
+    returns shape ``(2,) + broadcast``."""
+    grad = [compile_node(differentiate(tree, symbol), symbols, "") for symbol in _NORMAL]
 
-
-def from_potential(a: Callable, name: str = "potential", step: float = _FD_STEP,
-                   a_u: Optional[Callable] = None) -> FluxField:
-    """Flux f = n x Phi with Phi the tangential gradient of a(u, n).
-
-    ``a(u, n1, n2, n3)`` must be smooth near the unit sphere and vectorized.
-    Such fluxes are automatically divergence-free at every frozen state.
-    ``a_u``, with the same signature, is the derivative of ``a`` in u; without
-    it a finite-difference stencil in u stands in.  f_u is formed from
-    ``a_u`` as f is from ``a`` (d/du commutes with the tangential gradient),
-    by a stencil in space.  The flux carries no terms (the vertex path)."""
-    if a_u is None:
-        def a_u(u, n1, n2, n3):
-            return _stencil(lambda d: a(u + d, n1, n2, n3))
-
-    def cross_gradient(pot):
-        def field(u, phi, theta):
-            n, n_phi, n_theta = _sphere_normals(phi, theta)
-            return _cross_components(_tangential_gradient(pot, u, n, step), n_phi, n_theta)
-        return field
-
-    return FluxField(name=name, f=cross_gradient(a), f_u=cross_gradient(a_u),
-                     potential=a, potential_u=a_u)
+    def field(phi, theta, **state):
+        n, n_phi, n_theta = _sphere_normals(phi, theta)
+        n = _lift(n, max([n.ndim - 1] + [np.ndim(v) for v in state.values()]) + 1)
+        shape = np.broadcast_shapes(n.shape[1:], *(np.shape(v) for v in state.values()))
+        vec = np.stack([np.broadcast_to(d(n1=n[0], n2=n[1], n3=n[2], **state), shape)
+                        for d in grad])
+        return _cross_components(vec, n_phi, n_theta)
+    return field
 
 
 def _state_function(node) -> Callable:
@@ -205,24 +190,11 @@ def _state_function(node) -> Callable:
 
 def _potential_term(g, A) -> Term:
     """The term g(u) (n x grad A(n)) of a split potential, from the trees of
-    g and A, with the exact gradient of A (:func:`differentiate`)."""
-    normal = ["n1", "n2", "n3"]
-    grad = [compile_node(differentiate(A, symbol), normal, "") for symbol in normal]
-    potential = compile_node(A, normal, "")
-
-    def field(phi, theta):
-        n, n_phi, n_theta = _sphere_normals(phi, theta)
-        vec = np.stack([np.broadcast_to(d(n1=n[0], n2=n[1], n3=n[2]), n.shape[1:])
-                        for d in grad])
-        return _cross_components(vec, n_phi, n_theta)
-
-    return Term(g=_state_function(g), g_u=_state_function(differentiate(g, "u")), X=field,
+    g and A, with the exact gradient of A (:func:`_cross_gradient`)."""
+    potential = compile_node(A, _NORMAL, "")
+    return Term(g=_state_function(g), g_u=_state_function(differentiate(g, "u")),
+                X=_cross_gradient(A, _NORMAL),
                 potential=lambda n1, n2, n3: potential(n1=n1, n2=n2, n3=n3))
-
-
-def tangential_potential_gradient(a: Callable, u, phi, theta, step: float = _FD_STEP):
-    """Phi = tangential gradient of a(u, .) at n(phi, theta); shape (3,) + broadcast."""
-    return _tangential_gradient(a, u, _sphere_normals(phi, theta)[0], step)
 
 
 # ---------------------------------------------------------------------------
@@ -311,8 +283,9 @@ def tvd_compatibility(f: FluxField, X: geometry.VectorField,
 def make_flux(name: str, params: Optional[dict] = None) -> FluxField:
     """Build a flux from the registry: solid_rotation, latitude_burgers, potential.
 
-    A potential that :func:`split_terms` splits becomes a sum of terms with
-    exact gradients; any other goes to :func:`from_potential`."""
+    A potential that :func:`split_terms` splits becomes a sum of terms;
+    any other carries no terms (the solver's vertex path), with f and f_u
+    the fields n x grad a and n x grad a_u.  Every gradient is exact."""
     params = dict(params or {})
     if name == "solid_rotation":
         omega = float(params.pop("omega", 1.0))
@@ -342,16 +315,19 @@ def make_flux(name: str, params: Optional[dict] = None) -> FluxField:
         a_expr = str(params.pop("a"))
         if params:
             raise ConfigError(f"unknown potential parameters: {sorted(params)}")
-        symbols = ["u", "n1", "n2", "n3"]
+        symbols = ("u",) + _NORMAL
         node = parse_expression(a_expr, symbols)
+        a_u = differentiate(node, "u")
         a_func = compile_expression(a_expr, symbols)
-        a_u_func = compile_node(differentiate(node, "u"), symbols, f"d/du[{a_expr}]")
+        a_u_func = compile_node(a_u, symbols, f"d/du[{a_expr}]")
         fields = dict(name=f"potential[{a_expr}]",
                       potential=lambda u, n1, n2, n3: a_func(u=u, n1=n1, n2=n2, n3=n3),
                       potential_u=lambda u, n1, n2, n3: a_u_func(u=u, n1=n1, n2=n2, n3=n3))
         terms = split_terms(node)
         if terms is None:
-            return from_potential(fields["potential"], fields["name"], a_u=fields["potential_u"])
+            f, f_u = _cross_gradient(node, symbols), _cross_gradient(a_u, symbols)
+            return FluxField(f=lambda u, phi, theta: f(phi, theta, u=u),
+                             f_u=lambda u, phi, theta: f_u(phi, theta, u=u), **fields)
         return _from_terms(terms=[_potential_term(g, X) for g, X in terms], **fields)
 
     raise ConfigError(

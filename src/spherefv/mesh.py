@@ -351,18 +351,6 @@ def cell_averages(mesh: SphereMesh, func: Callable) -> np.ndarray:
 # export
 # ---------------------------------------------------------------------------
 
-def _cell_polygon(mesh: SphereMesh, cell: int):
-    """Corner points (phi, theta) of a cell's polygon, counter-clockwise."""
-    dphi = 2.0 * math.pi / mesh.n_phi
-    dtheta = (math.pi - 2.0 * mesh.theta_min) / mesh.n_theta
-    p0, t0 = mesh.cell_centroid[cell]
-    if mesh.cell_is_cap[cell]:
-        th = mesh.theta_min if t0 < math.pi / 2 else math.pi - mesh.theta_min
-        return [(i * dphi, th) for i in range(mesh.n_phi)]
-    return [(p0 - 0.5 * dphi, t0 - 0.5 * dtheta), (p0 + 0.5 * dphi, t0 - 0.5 * dtheta),
-            (p0 + 0.5 * dphi, t0 + 0.5 * dtheta), (p0 - 0.5 * dphi, t0 + 0.5 * dtheta)]
-
-
 def export_vtk(mesh: SphereMesh, path: str, fields: Optional[dict] = None) -> None:
     """Legacy ASCII VTK UNSTRUCTURED_GRID of the cell polygons with cell data.
 

@@ -3,7 +3,8 @@ the divergence/Lie-derivative chain-rule identities used by both the geometry
 unit tests and the acceptance suite, the node-average quadrature oracle for
 the solver's face tables, the per-segment quadrature oracle for the
 Engquist-Osher entropy flux, cross-product fluxes f = n x Phi, which
-carry no face restriction for the solver, the pointwise entropy pairs, with
+carry no face restriction for the solver, the finite-difference potential
+fluxes, oracles of the exact ones, the pointwise entropy pairs, with
 adaptive quadrature, and the general forms of the solver's per-cell sum and
 Godunov selection, oracles of their bits."""
 
@@ -17,7 +18,8 @@ from scipy.integrate import quad_vec
 
 from spherefv import fvm, geometry
 from spherefv.errors import InputError
-from spherefv.flux import FluxField, _cross_components, _sphere_normals, _stencil
+from spherefv.flux import (_FD_STEP, FluxField, _cross_components, _lift, _sphere_normals,
+                           _stencil)
 from spherefv.geometry import VectorField, fd_gradient
 
 
@@ -131,6 +133,46 @@ def cross_flux(phi_vec: Callable, name: str = "cross") -> FluxField:
         return _stencil(lambda d: f(u + d, phi, theta))
 
     return FluxField(name=name, f=f, f_u=f_u)
+
+
+def _tangential_gradient(a: Callable, u, n, step: float):
+    """Tangential part of the ambient gradient of a(u, .) at the unit normals
+    ``n``; shape (3,) + broadcast, ``u`` included (a_u may not depend on u)."""
+    n = _lift(n, np.ndim(u) + 1)
+    axes = np.eye(3).reshape((3, 3) + (1,) * (n.ndim - 1))
+    grad = np.stack(np.broadcast_arrays(
+        *[_stencil(lambda d, e=e: a(u, *(n + d * e)), step) for e in axes], u)[:3])
+    return grad - np.sum(grad * n, axis=0) * n
+
+
+def tangential_potential_gradient(a: Callable, u, phi, theta, step: float = _FD_STEP):
+    """Phi = tangential gradient of a(u, .) at n(phi, theta); shape (3,) + broadcast."""
+    return _tangential_gradient(a, u, _sphere_normals(phi, theta)[0], step)
+
+
+def from_potential(a: Callable, name: str = "potential", step: float = _FD_STEP,
+                   a_u: Optional[Callable] = None) -> FluxField:
+    """Flux f = n x Phi with Phi the tangential gradient of a(u, n).
+
+    ``a(u, n1, n2, n3)`` must be smooth near the unit sphere and vectorized.
+    Such fluxes are automatically divergence-free at every frozen state.
+    ``a_u``, with the same signature, is the derivative of ``a`` in u; without
+    it a finite-difference stencil in u stands in.  f_u is formed from
+    ``a_u`` as f is from ``a`` (d/du commutes with the tangential gradient),
+    by a stencil in space.  The flux carries no terms (the vertex path): the
+    finite-difference oracle of ``make_flux("potential")``'s exact fields."""
+    if a_u is None:
+        def a_u(u, n1, n2, n3):
+            return _stencil(lambda d: a(u + d, n1, n2, n3))
+
+    def cross_gradient(pot):
+        def field(u, phi, theta):
+            n, n_phi, n_theta = _sphere_normals(phi, theta)
+            return _cross_components(_tangential_gradient(pot, u, n, step), n_phi, n_theta)
+        return field
+
+    return FluxField(name=name, f=cross_gradient(a), f_u=cross_gradient(a_u),
+                     potential=a, potential_u=a_u)
 
 
 def embedded_flux(f: FluxField, u: float, phi: float, theta: float) -> np.ndarray:

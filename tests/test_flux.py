@@ -9,16 +9,15 @@ from spherefv import (
     InputError,
     VectorField,
     divfree_residual,
-    from_potential,
     make_flux,
     sphere_chart,
     tvd_compatibility,
 )
 from spherefv import geometry
-from spherefv.flux import tangential_potential_gradient
 
 from conftest import random_points
-from identities import cross_flux, embedded_flux, entropy_flux, kruzkov_pair
+from identities import (cross_flux, embedded_flux, entropy_flux, from_potential, kruzkov_pair,
+                        tangential_potential_gradient)
 
 
 # ---------------------------------------------------------------------------
@@ -51,7 +50,7 @@ def test_potential_u_times_n3_direction():
 
 def test_registry_potential_f_u_from_exact_a_u():
     # a = u n3: f_u = n x grad n3 is the rigid rotation (-1, 0) at every
-    # state, and the exact a_u = n3 leaves only the linear stencil in space
+    # state, from the exact a_u = n3 and its exact gradient
     f = make_flux("potential", {"a": "u*n3"})
     phis = np.linspace(0.0, 2 * math.pi, 13)[:, None]
     theta = np.linspace(0.05, math.pi - 0.05, 11)
@@ -66,11 +65,40 @@ def test_registry_potential_f_u_from_exact_a_u():
 
 
 def test_potential_divergence_free():
-    f = make_flux("potential", {"a": "u*n3 + 0.3*u^2*n1"})
-    rng = np.random.default_rng(23)
-    for p in random_points(rng, 10):
-        for u in (-0.7, 0.2, 0.9):
-            assert divfree_residual(f, u, p) <= 1e-8
+    # the potential that does not split has an exact gradient too: only the
+    # residual's own stencil remains, 2.3e-13 here, where a stencil-in-n
+    # flux (tests/identities.py) leaves 1.5e-10
+    for a, tol in [("u*n3 + 0.3*u^2*n1", 1e-8), ("sin(u*n1) + u*n3", 1e-11)]:
+        f = make_flux("potential", {"a": a})
+        rng = np.random.default_rng(23)
+        for p in random_points(rng, 10):
+            for u in (-0.7, 0.2, 0.9):
+                assert divfree_residual(f, u, p) <= tol
+
+
+def test_unsplit_potential_fields_are_exact():
+    # a = sin(u n1) + u n3 does not split into terms g(u) A(n).  f = n x grad a
+    # and f_u = n x grad a_u, with grad a = (u cos(u n1), 0, u) and
+    # grad a_u = (cos(u n1) - u n1 sin(u n1), 0, 1), hold to rounding; the
+    # finite-difference oracle agrees to its truncation error (1.8e-11 here)
+    flux = make_flux("potential", {"a": "sin(u*n1) + u*n3"})
+    oracle = from_potential(flux.potential, a_u=flux.potential_u)
+    u = np.linspace(-1.5, 1.5, 7)[:, None, None]
+    phi = np.linspace(0.0, 2 * math.pi, 17)[:, None]
+    theta = np.linspace(0.05, math.pi - 0.05, 33)
+    st, ct, sp, cp = np.sin(theta), np.cos(theta), np.sin(phi), np.cos(phi)
+    n, n_phi, n_theta = (np.stack(np.broadcast_arrays(*v))[:, None] for v in
+                         [(st * cp, st * sp, ct), (-st * sp, st * cp, 0.0), (ct * cp, ct * sp, -st)])
+    n1 = n[0]
+    grads = {"f": (u * np.cos(u * n1), 0.0, u),
+             "f_u": (np.cos(u * n1) - u * n1 * np.sin(u * n1), 0.0, 1.0)}
+    for name, grad in grads.items():
+        v = np.cross(n, np.stack(np.broadcast_arrays(*grad, u * n1))[:3], axis=0)
+        exact = np.stack([np.sum(v * n_phi, axis=0) / st ** 2, np.sum(v * n_theta, axis=0)])
+        got = getattr(flux, name)(u, phi, theta)
+        assert got.shape == exact.shape == (2, 7, 17, 33)
+        assert np.abs(got - exact).max() <= 1e-14 * np.abs(exact).max()
+        assert np.abs(getattr(oracle, name)(u, phi, theta) - got).max() <= 1e-10
 
 
 def test_divfree_residual_examples():

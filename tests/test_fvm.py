@@ -13,10 +13,10 @@ from spherefv import (
     FLUX_KINDS,
     GODUNOV,
     LAX_FRIEDRICHS,
+    Monitor,
     build_latlon,
     cfl_timestep,
     entropy_report,
-    from_potential,
     init_state,
     kruzkov_spec,
     make_flux,
@@ -564,8 +564,31 @@ UNSPLIT = "sin(u*n1) + u*n3"
 
 
 def _vertex_flux(flux):
-    """The same potential as a Python callable: no terms, the vertex path."""
-    return from_potential(flux.potential, name=flux.name, a_u=flux.potential_u)
+    """The same potential without its terms: the vertex path."""
+    return replace(flux, terms=())
+
+
+@pytest.mark.parametrize("a", POTENTIALS + [UNSPLIT])
+def test_potential_flux_evaluates_no_stencil(a, monkeypatch):
+    # split or not, a potential flux takes f and f_u from exact derivatives:
+    # no finite-difference stencil while it is built, evaluated, bounds the
+    # time step or takes a monitored step of each kind
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a potential flux evaluated a finite-difference stencil")
+
+    monkeypatch.setattr("spherefv.flux._stencil", forbidden)
+    mesh = build_latlon(12, 6, 0.3)
+    box = (-1.5, 1.5)
+    flux = make_flux("potential", {"a": a})
+    for field in (flux.f, flux.f_u):
+        assert np.all(np.isfinite(field(np.linspace(-1.0, 1.0, 5)[:, None], 0.7, [0.5, 1.9])))
+    assert flux.lipschitz_on(*box) > 0.0
+    for kind in FLUX_KINDS:
+        nf = make_numerical_flux(kind, mesh, flux, box=box)
+        monitor = Monitor(mesh, nf, entropies=[square_spec(), kruzkov_spec(0.0)])
+        state = _initial(mesh)
+        state.tau = cfl_timestep(mesh, flux, nf, box, 0.5)
+        monitor(*step(state, flux, nf))
 
 
 @pytest.mark.parametrize("n_phi, n_theta", [(12, 6), (47, 24)])

@@ -12,7 +12,7 @@ from spherefv import (
     make_flux,
     mesh_info,
 )
-from spherefv.mesh import CAP_RIM, LATITUDE, MERIDIAN, _cell_polygon, export_vtk
+from spherefv.mesh import CAP_RIM, LATITUDE, MERIDIAN, SphereMesh, export_vtk
 
 from identities import reduceat_cell_sum
 
@@ -375,6 +375,18 @@ def test_slot_geometry(n_phi, n_theta):
 
     runs = [(kind, len(list(group))) for kind, group in itertools.groupby(mesh.face_kind)]
     assert runs == [(MERIDIAN, n_band), (LATITUDE, n_band - n_phi), (CAP_RIM, 2 * n_phi)]
+
+
+def _cell_polygon(mesh: SphereMesh, cell: int):
+    """Corner points (phi, theta) of a cell's polygon, counter-clockwise."""
+    dphi = 2.0 * math.pi / mesh.n_phi
+    dtheta = (math.pi - 2.0 * mesh.theta_min) / mesh.n_theta
+    p0, t0 = mesh.cell_centroid[cell]
+    if mesh.cell_is_cap[cell]:
+        th = mesh.theta_min if t0 < math.pi / 2 else math.pi - mesh.theta_min
+        return [(i * dphi, th) for i in range(mesh.n_phi)]
+    return [(p0 - 0.5 * dphi, t0 - 0.5 * dtheta), (p0 + 0.5 * dphi, t0 - 0.5 * dtheta),
+            (p0 + 0.5 * dphi, t0 + 0.5 * dtheta), (p0 - 0.5 * dphi, t0 + 0.5 * dtheta)]
 
 
 def test_vtk_export(tmp_path, small_mesh):
