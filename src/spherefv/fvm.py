@@ -7,7 +7,10 @@ built from ``s_e`` together with its critical points over the tracked state
 box, which makes consistency exact and monotonicity hold to rounding:
 
 - Godunov takes the true min/max of ``s_e`` over the state interval, the
-  interior extrema being the precomputed critical points;
+  interior extrema being the precomputed critical points.  On a table with
+  no critical points s_e is monotone over the box, so that is the upwind
+  value s_e(u_up), the upwind cell fixed per face when the table is built;
+  a plain step (no decomposition) evaluates s once per face there;
 - Engquist-Osher uses the total-variation form
   ``1/2 (s(u)+s(v)) - 1/2 sgn(v-u) TV(s; [u^v, u v v])``, TV being the sum
   of |Delta s| over the critical-point partition, s there read from the table;
@@ -157,6 +160,7 @@ class FaceFluxTable:
         v.box = self.box
         v.speed, v.lam = self.speed[index], self.lam[index]
         v.crit, v.crit_s = _take_rows(self.crit, index), _take_rows(self.crit_s, index)
+        v.upwind = None if self.upwind is None else self.upwind[index]
         return v
 
     def _rows(self, index) -> "FaceFluxTable":
@@ -202,7 +206,8 @@ class FaceFluxTable:
     # -- state box / critical points ------------------------------------------
 
     def rebuild(self, box) -> None:
-        """(Re)compute critical points, wave speeds and lambda over ``box``.
+        """(Re)compute critical points, wave speeds, lambda and, with no
+        critical points, each face's upwind cell over ``box``.
 
         Critical points are the sign changes of s' on an ``n_scan``-point
         grid, refined by bisection; a face whose sup |s'| is rounding noise
@@ -257,6 +262,9 @@ class FaceFluxTable:
             crit[faces] = roots
         self.lam = 1.01 * self.speed                      # LF dissipation
         self.crit = crit
+        # no critical points: s is monotone on the box and Godunov is upwind
+        self.upwind = (np.where(self.s(hi) >= self.s(lo), self.mesh.face_left,
+                                self.mesh.face_right) if crit.shape[1] == 0 else None)
         self.crit_s = np.where(np.isnan(crit), np.nan,
                                self.s(np.nan_to_num(crit, nan=lo)))
 
@@ -659,8 +667,11 @@ def step(state: SolverState, flux: FluxField, nf: NumericalFlux,
     ``SphereMesh.cell_sum``.  With ``need_decomposition=False`` the
     decomposition (two per-slot state arrays and the divergence correction,
     a sizeable share of a plain step) is skipped and ``None`` is returned in its place; the update itself
-    is unchanged.  With ``threads > 1`` the faces are evaluated on ``pool``
-    (see :func:`thread_pool`), or on a pool made for this step if it is None."""
+    is unchanged.  Such a Godunov step on a table without critical points
+    takes s at each face's upwind cell, once per face and on no pool: the
+    first extremal candidate of a monotone face is its upwind end.  Otherwise,
+    with ``threads > 1`` the faces are evaluated on ``pool`` (see
+    :func:`thread_pool`), or on a pool made for this step if it is None."""
     mesh = state.mesh
     u = state.u
     tau = state.tau
@@ -668,13 +679,16 @@ def step(state: SolverState, flux: FluxField, nf: NumericalFlux,
         raise ConfigError("state.tau must be set to a positive CFL time step")
     nf.ensure_box(float(u.min()), float(u.max()))
 
-    a = u[mesh.face_left]
-    b = u[mesh.face_right]
-    fvals, pick, s_a, s_b = _face_fluxes(nf, a, b, threads, pool)
+    if not need_decomposition and nf.kind == GODUNOV and nf.table.upwind is not None:
+        fvals = nf.table.s(u[nf.table.upwind])
+    else:
+        a = u[mesh.face_left]
+        b = u[mesh.face_right]
+        fvals, pick, s_a, s_b = _face_fluxes(nf, a, b, threads, pool)
 
     f_slot = fvals[mesh.cell_faces]
     u_new = u - (tau / mesh.cell_area) * mesh.cell_sum(mesh.slot_measure * f_slot)
-    if not np.all(np.isfinite(u_new)):
+    if not np.isfinite(u_new).all():
         bad = int(np.flatnonzero(~np.isfinite(u_new))[0])
         raise InputError(f"non-finite update in cell {bad} "
                          "(time step too large for the current state?)")

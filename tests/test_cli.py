@@ -142,6 +142,17 @@ def test_run_threads_bit_identical(tmp_path):
     assert (out1 / "diag.csv").read_bytes() == (out8 / "diag.csv").read_bytes()
 
 
+def test_converge_threads_bit_identical(tmp_path):
+    cfg = _write_config(tmp_path / "c.json",
+                        flux={"name": "solid_rotation", "params": {"omega": 1.0}},
+                        initial={"name": "equatorial_bump"}, T=0.5)
+    out1, out2 = tmp_path / "t1", tmp_path / "t2"
+    for out, threads in ((out1, "1"), (out2, "2")):
+        assert main(["converge", cfg, "--levels", "2", "--out-dir", str(out),
+                     "--threads", threads]) == 0
+    assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
+
+
 def test_unknown_initial_and_tv_field(tmp_path):
     cfg = _write_config(tmp_path / "c.json", initial={"name": "mystery"})
     assert main(["run", cfg]) == 2
@@ -163,6 +174,16 @@ def _fresh_python(code, *args):
     done = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=src), check=True)
     return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_module_entry_point(tmp_path):
+    cfg = _write_config(tmp_path / "c.json")
+    src = os.path.dirname(os.path.dirname(spherefv.__file__))
+    done = subprocess.run([sys.executable, "-m", "spherefv", "mesh-info", cfg,
+                           "--out-dir", str(tmp_path / "out")], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert done.returncode == 0 and done.stderr == ""
+    assert json.loads((tmp_path / "out" / "report.json").read_text())["command"] == "mesh-info"
 
 
 def test_import_loads_no_scipy():

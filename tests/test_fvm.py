@@ -336,10 +336,8 @@ def test_intermediate_states_are_convex_combinations():
     assert np.abs((recon - d.utilde)[mask]).max() <= 1e-12
 
 
-def test_monitored_godunov_step_evaluates_candidates_once(monkeypatch):
-    mesh, flux, nf, tau = _setup(GODUNOV, n_phi=12, n_theta=6)
-    state = _initial(mesh)
-    state.tau = tau
+def _count_godunov_states(monkeypatch):
+    """Patch ``_godunov_state`` to record each call; returns the record."""
     calls = []
     godunov_state = NumericalFlux._godunov_state
 
@@ -348,10 +346,21 @@ def test_monitored_godunov_step_evaluates_candidates_once(monkeypatch):
         return godunov_state(self, *args)
 
     monkeypatch.setattr(NumericalFlux, "_godunov_state", counted)
+    return calls
+
+
+def test_monitored_godunov_step_evaluates_candidates_once(monkeypatch):
+    mesh, flux, nf, tau = _setup(GODUNOV, n_phi=12, n_theta=6)
+    state = _initial(mesh)
+    state.tau = tau
+    calls = _count_godunov_states(monkeypatch)
     _, decomp = step(state, flux, nf)
     G = nf.smooth_fluxes(square_spec().U, square_spec().dU, decomp)
     entropy_report(nf, decomp, square_spec())
     assert calls == [mesh.n_faces]                  # the step's own evaluation
+    # Burgers over a box around 0 has a critical column and no upwind cells,
+    # so a plain step takes the candidates too
+    assert nf.table.crit.shape[1] == 1 and nf.table.upwind is None
     _, plain = step(state, flux, nf, need_decomposition=False)
     assert plain is None and len(calls) == 2
     monkeypatch.undo()
@@ -368,6 +377,55 @@ def test_monitored_godunov_step_evaluates_candidates_once(monkeypatch):
     for kind in (LAX_FRIEDRICHS, ENGQUIST_OSHER):
         other = make_numerical_flux(kind, mesh, flux, box=(-1.5, 1.5))
         assert step(state, flux, other)[1].pick is None
+
+
+@pytest.mark.parametrize("name, params, box, offset", [
+    ("solid_rotation", {"omega": 1.0}, (-1.5, 1.5), 0.0),
+    ("solid_rotation", {"omega": -1.0}, (-1.5, 1.5), 0.0),
+    ("latitude_burgers", {"c_expr": "sin(theta)"}, (0.1, 2.0), 1.0),
+    ("potential", {"a": "u*n3"}, (-1.5, 1.5), 0.0),
+], ids=["rotation+", "rotation-", "burgers-positive", "potential-u*n3"])
+def test_plain_upwind_step_matches_general_path_bitwise(name, params, box, offset, monkeypatch):
+    # a table without critical columns steps a plain Godunov step at the
+    # upwind cell: one s evaluation per face, no candidates and no pool, with
+    # the bits of the general path (the step that builds the decomposition)
+    mesh = build_latlon(12, 6, 0.3)
+    flux = make_flux(name, params)
+    nf = make_numerical_flux(GODUNOV, mesh, flux, box=box)
+    assert nf.table.crit.shape[1] == 0 and nf.table.upwind is not None
+    tau = cfl_timestep(mesh, flux, nf, box, 0.5)
+    state = init_state(mesh, lambda phi, theta: offset + 0.5 * np.cos(theta)
+                       + 0.3 * np.sin(phi) * np.sin(theta))
+    assert box[0] <= state.u.min() and state.u.max() <= box[1]
+    calls = _count_godunov_states(monkeypatch)
+    pools = []
+    monkeypatch.setattr(fvm, "thread_pool", lambda threads: pools.append(threads))
+    plain, general = replace(state, tau=tau), replace(state, tau=tau)
+    for _ in range(20):
+        plain, none = step(plain, flux, nf, threads=2, need_decomposition=False)
+        general, decomp = step(general, flux, nf)
+        assert none is None and decomp is not None
+        np.testing.assert_array_equal(_bits(plain.u), _bits(general.u))
+    assert calls == [mesh.n_faces] * 20 and pools == []
+
+
+def test_box_expansion_across_a_critical_point_drops_upwind(monkeypatch):
+    mesh = build_latlon(12, 6, 0.3)
+    flux = make_flux("latitude_burgers", {"c_expr": "sin(theta)"})
+    nf = make_numerical_flux(GODUNOV, mesh, flux, box=(0.2, 1.5))
+    assert nf.table.upwind is not None and nf.table.view([0, 3]).upwind.shape == (2,)
+    state = replace(_initial(mesh), tau=cfl_timestep(mesh, flux, nf, (-1.0, 1.0), 0.5))
+    assert state.u.min() < 0.0 < state.u.max()
+    calls = _count_godunov_states(monkeypatch)
+    with pytest.warns(RuntimeWarning, match="state left the tracked box"):
+        plain, _ = step(state, flux, nf, need_decomposition=False)
+    assert nf.table.crit.shape[1] == 1 and nf.table.upwind is None
+    assert nf.table.view([0, 3]).upwind is None
+    # after the re-validation's sampled faces, the step's own candidates
+    assert calls[-1] == mesh.n_faces and calls.count(mesh.n_faces) == 1
+    general, _ = step(state, flux, nf)
+    assert calls.count(mesh.n_faces) == 2
+    np.testing.assert_array_equal(_bits(plain.u), _bits(general.u))
 
 
 # ---------------------------------------------------------------------------
