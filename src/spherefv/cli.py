@@ -76,6 +76,8 @@ def _entropy_spec(name: str) -> dg.EntropySpec:
             k = float(name.split(":", 1)[1])
         except ValueError as exc:
             raise ConfigError(f"bad Kruzkov parameter in entropy {name!r}") from exc
+        if not math.isfinite(k):
+            raise ConfigError(f"Kruzkov parameter must be finite in entropy {name!r}")
         return dg.kruzkov_spec(k)
     raise ConfigError(f"unknown entropy {name!r}; use 'square' or 'kruzkov:<k>'")
 
@@ -117,6 +119,10 @@ def load_config(path: str) -> ScenarioConfig:
         raise ConfigError(f"unknown numerical flux kind {kind!r}; "
                           f"choose from {fvm.FLUX_KINDS}")
 
+    T = float(_require(raw, "T", "config"))
+    if not (0.0 <= T < math.inf):
+        raise ConfigError(f"T must be a finite non-negative time, got {T}")
+
     tv_fields = list(diag_cfg.get("tv_fields", []))
     for name in tv_fields:
         if name != "dphi":
@@ -132,7 +138,7 @@ def load_config(path: str) -> ScenarioConfig:
         nf_kind=kind,
         safety=safety,
         initial_expr=expr,
-        T=float(_require(raw, "T", "config")),
+        T=T,
         tv_fields=tv_fields,
         entropies=[_entropy_spec(e) for e in diag_cfg.get("entropies", [])],
         csv_name=str(out_cfg.get("csv", "diag.csv")),
@@ -159,13 +165,13 @@ def initial_function(cfg: ScenarioConfig, phase: float = 0.0) -> Callable:
 
 @dataclass
 class Scenario:
+    """A configured run: the scheme ``nf`` (its table holds the mesh, the
+    flux and the state box), the initial state and the CFL time step."""
+
     cfg: ScenarioConfig
-    mesh: meshmod.SphereMesh
-    flux: fluxmod.FluxField
     nf: fvm.NumericalFlux
     state0: fvm.SolverState
     tau: float
-    box: tuple
 
 
 def build_scenario(cfg: ScenarioConfig, n_phi: Optional[int] = None,
@@ -176,11 +182,8 @@ def build_scenario(cfg: ScenarioConfig, n_phi: Optional[int] = None,
     state0 = fvm.init_state(mesh, initial_function(cfg))
     lo, hi = float(state0.u.min()), float(state0.u.max())
     margin = 0.05 * max(hi - lo, 1.0)
-    box = (lo - margin, hi + margin)
-    nf = fvm.make_numerical_flux(cfg.nf_kind, mesh, flux, box=box)
-    tau = fvm.cfl_timestep(mesh, flux, nf, box, cfg.safety)
-    return Scenario(cfg=cfg, mesh=mesh, flux=flux, nf=nf, state0=state0,
-                    tau=tau, box=box)
+    nf = fvm.make_numerical_flux(cfg.nf_kind, mesh, flux, box=(lo - margin, hi + margin))
+    return Scenario(cfg=cfg, nf=nf, state0=state0, tau=fvm.cfl_timestep(nf, cfg.safety))
 
 
 def _write_report(out_dir: str, payload: dict) -> None:
@@ -195,12 +198,13 @@ def _write_report(out_dir: str, payload: dict) -> None:
 
 def run_scenario(cfg: ScenarioConfig, out_dir: str, threads: int = 1) -> int:
     sc = build_scenario(cfg)
-    mesh, nf = sc.mesh, sc.nf
+    nf = sc.nf
+    mesh = nf.table.mesh
     tv_fields = {}
     if "dphi" in cfg.tv_fields:
         X = geometry.VectorField(lambda y: np.array([1.0, 0.0]))
         tv_fields["dphi"] = dg.tv_face_weights(mesh, X)
-    monitor = dg.Monitor(mesh, nf, tv_fields=tv_fields, entropies=cfg.entropies)
+    monitor = dg.Monitor(nf, tv_fields=tv_fields, entropies=cfg.entropies)
     monitor.record_initial(sc.state0)
     recon_worst = [0.0]
 
@@ -213,7 +217,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str, threads: int = 1) -> int:
                                                   f"{cfg.vtk_prefix}_{state.n}.vtk"),
                                {"u": state.u})
 
-    final = fvm.run(sc.state0, sc.flux, nf, T=cfg.T, tau=sc.tau,
+    final = fvm.run(sc.state0, nf, T=cfg.T, tau=sc.tau,
                     hooks=[monitor, recon_hook, vtk_hook], threads=threads)
 
     monitor.write_csv(os.path.join(out_dir, cfg.csv_name))
@@ -285,12 +289,13 @@ def band_meridian_faces(mesh: meshmod.SphereMesh, band: int) -> np.ndarray:
 
 def oracle_compare(cfg: ScenarioConfig, out_dir: str, threads: int = 1) -> int:
     sc = build_scenario(cfg)
-    mesh, nf = sc.mesh, sc.nf
+    nf = sc.nf
+    mesh = nf.table.mesh
 
     # the decoupling requires every non-meridian face (there are always the
     # rims) to be inert
     other = np.flatnonzero(mesh.face_kind != meshmod.MERIDIAN)
-    probe = np.linspace(sc.box[0], sc.box[1], 9)
+    probe = np.linspace(*nf.table.box, 9)
     worst_inert = max(float(np.abs(nf.table.s(p)[other]).max()) for p in probe)
     if worst_inert > 1e-14:
         raise ConfigError(
@@ -315,7 +320,7 @@ def oracle_compare(cfg: ScenarioConfig, out_dir: str, threads: int = 1) -> int:
     with fvm.thread_pool(threads) as pool:
         for _ in range(n_steps):
             state.tau = sc.tau
-            state, _ = fvm.step(state, sc.flux, nf, threads=threads,
+            state, _ = fvm.step(state, nf, threads=threads,
                                 need_decomposition=False, pool=pool)
             for cells, oracle in oracles:
                 oracle.step(sc.tau)
@@ -351,12 +356,11 @@ def convergence_study(cfg: ScenarioConfig, levels: int, out_dir: str,
     for level in range(levels):
         sc = build_scenario(cfg, n_phi=cfg.n_phi * 2 ** level,
                             n_theta=cfg.n_theta * 2 ** level)
-        final = fvm.run(sc.state0, sc.flux, sc.nf, T=cfg.T, tau=sc.tau,
-                        threads=threads)
+        final = fvm.run(sc.state0, sc.nf, T=cfg.T, tau=sc.tau, threads=threads)
         err = dg.l1_error(final, reference)
-        rows.append({"level": level, "n_phi": sc.mesh.n_phi,
-                     "n_theta": sc.mesh.n_theta, "h": sc.mesh.h,
-                     "h_band": sc.mesh.h_band, "tau": sc.tau, "l1_error": err})
+        mesh = sc.nf.table.mesh
+        rows.append({"level": level, "n_phi": mesh.n_phi, "n_theta": mesh.n_theta,
+                     "h": mesh.h, "h_band": mesh.h_band, "tau": sc.tau, "l1_error": err})
 
     for i in range(1, len(rows)):
         e0, e1 = rows[i - 1]["l1_error"], rows[i]["l1_error"]

@@ -99,28 +99,22 @@ def check_tv_diminishing(tv_series: Sequence[float], tau: float,
 @dataclass(frozen=True)
 class EntropySpec:
     """An entropy to monitor: Kruzkov (kind='kruzkov', parameter k) or a
-    smooth convex U given with its derivative."""
+    smooth convex U given with its derivative.
+
+    ``alpha`` is a modulus of convexity, a lower bound on U'' over every
+    state: exactly 1 for U = u^2/2, and 0, always valid, by default."""
 
     kind: str                      # "kruzkov" | "smooth"
     name: str
     k: Optional[float] = None
     U: Optional[Callable] = None
     dU: Optional[Callable] = None
+    alpha: float = 0.0
 
     def u_values(self, u):
         if self.kind == "kruzkov":
             return np.abs(np.asarray(u, dtype=float) - self.k)
         return self.U(np.asarray(u, dtype=float))
-
-    def convexity_modulus(self, box, n: int = 1000) -> float:
-        """alpha = inf U'' over the state box (0 for Kruzkov)."""
-        if self.kind == "kruzkov":
-            return 0.0
-        grid = np.linspace(box[0], box[1], n)
-        h = (box[1] - box[0]) / (n - 1)
-        vals = self.U(grid)
-        second = (vals[2:] - 2 * vals[1:-1] + vals[:-2]) / (h * h)
-        return float(max(second.min(), 0.0))
 
 
 def kruzkov_spec(k: float) -> EntropySpec:
@@ -130,7 +124,7 @@ def kruzkov_spec(k: float) -> EntropySpec:
 def square_spec() -> EntropySpec:
     return EntropySpec(kind="smooth", name="square",
                        U=lambda u: 0.5 * np.asarray(u, dtype=float) ** 2,
-                       dU=lambda u: np.asarray(u, dtype=float))
+                       dU=lambda u: np.asarray(u, dtype=float), alpha=1.0)
 
 
 @dataclass(frozen=True)
@@ -150,12 +144,10 @@ class EntropyStepRecord:
 
 
 def entropy_report(nf: NumericalFlux, decomp: ConvexDecomposition,
-                   spec: EntropySpec, alpha: Optional[float] = None) -> EntropyStepRecord:
+                   spec: EntropySpec) -> EntropyStepRecord:
     """Evaluate the discrete entropy inequalities for one step and entropy,
-    per (cell, face) slot of the mesh.
-
-    ``alpha`` is the modulus of convexity of U over the table's state box;
-    it is computed by ``spec.convexity_modulus`` when not given."""
+    per (cell, face) slot of the mesh; the dissipation estimate takes the
+    modulus of convexity ``spec.alpha``."""
     mesh = decomp.mesh
     cell, side = mesh.slot_cell, mesh.slot_side
 
@@ -177,14 +169,12 @@ def entropy_report(nf: NumericalFlux, decomp: ConvexDecomposition,
     wKe = mesh.slot_weight
     u_new = decomp.u_new
     diss = np.sum(wKe * (decomp.u_ke - u_new[cell]) ** 2)
-    if alpha is None:
-        alpha = spec.convexity_modulus(nf.table.box)
     mass_old = float(np.sum(U_cells * mesh.cell_area))
     mass_new = float(np.sum(spec.u_values(u_new) * mesh.cell_area))
     own_G = np.concatenate([G_left, G_right])[side]
     flux_term = float(np.sum(decomp.tau * mesh.slot_measure * own_G))
     r_term = float(np.sum(wKe * R))
-    lhs = mass_new + 0.5 * alpha * float(diss)
+    lhs = mass_new + 0.5 * spec.alpha * float(diss)
     rhs = mass_old + flux_term + r_term
 
     return EntropyStepRecord(
@@ -194,7 +184,7 @@ def entropy_report(nf: NumericalFlux, decomp: ConvexDecomposition,
         pc12_lhs=lhs,
         pc12_rhs=rhs,
         pc12_satisfied=lhs <= rhs + 1e-10 * max(1.0, abs(rhs)),
-        alpha=alpha,
+        alpha=spec.alpha,
         dissipation_increment=float(diss),
         entropy_mass_old=mass_old,
         entropy_mass_new=mass_new,
@@ -232,32 +222,27 @@ class DiagnosticsRecord:
     dissipation_increment: float   # square-entropy PC-dissipation of the step
     pc15_cumulative: float
     worst_pc10: float              # worst over all monitored entropies
-    l1_error: Optional[float] = None
 
 
 class Monitor:
-    """Solver hook that accumulates DiagnosticsRecords.
+    """Solver hook that accumulates DiagnosticsRecords for the scheme ``nf``,
+    on the mesh of its table.
 
     ``tv_fields`` maps names to precomputed face weight arrays (see
-    :func:`tv_face_weights`); ``entropies`` is a list of EntropySpec.  The
-    modulus of convexity of each entropy is computed once per state box.
+    :func:`tv_face_weights`); ``entropies`` is a list of EntropySpec.
     """
 
-    def __init__(self, mesh: SphereMesh, nf: Optional[NumericalFlux] = None,
-                 tv_fields: Optional[dict] = None,
-                 entropies: Sequence[EntropySpec] = (),
-                 reference: Optional[Callable] = None):
-        self.mesh = mesh
+    def __init__(self, nf: NumericalFlux, tv_fields: Optional[dict] = None,
+                 entropies: Sequence[EntropySpec] = ()):
         self.nf = nf
         self.tv_fields = tv_fields or {}
         self.entropies = list(entropies)
-        self.reference = reference
         self.records: list = []
         self.pc15_cumulative = 0.0
-        self._alpha: dict = {}         # (spec, state box) -> alpha
 
     def record_initial(self, state: SolverState) -> None:
-        emass = {spec.name: float(np.sum(spec.u_values(state.u) * self.mesh.cell_area))
+        area = self.nf.table.mesh.cell_area
+        emass = {spec.name: float(np.sum(spec.u_values(state.u) * area))
                  for spec in self.entropies}
         self.records.append(self._base_record(state, 0.0, 0.0, emass))
 
@@ -266,10 +251,7 @@ class Monitor:
         worst = -math.inf
         emass = {}
         for spec in self.entropies:
-            key = (spec, self.nf.table.box)
-            if key not in self._alpha:
-                self._alpha[key] = spec.convexity_modulus(key[1])
-            rec = entropy_report(self.nf, decomp, spec, alpha=self._alpha[key])
+            rec = entropy_report(self.nf, decomp, spec)
             worst = max(worst, rec.worst_pc10)
             emass[spec.name] = rec.entropy_mass_new
             if spec.kind == "smooth":
@@ -284,27 +266,21 @@ class Monitor:
         u = state.u
         tv = {name: discrete_tv_x(state, None, weights=w)
               for name, w in self.tv_fields.items()}
-        rec = DiagnosticsRecord(
+        return DiagnosticsRecord(
             step=state.n, t=state.t,
-            mass=float(np.sum(u * self.mesh.cell_area)),
+            mass=float(np.sum(u * self.nf.table.mesh.cell_area)),
             linf=float(np.abs(u).max()),
             tv=tv, entropy_mass=emass,
             dissipation_increment=dissipation,
             pc15_cumulative=self.pc15_cumulative,
             worst_pc10=worst_pc10,
-            l1_error=(l1_error(state, self.reference)
-                      if self.reference is not None else None),
         )
-        return rec
 
     def column_names(self) -> list:
-        cols = ["step", "t", "mass", "linf"]
-        cols += [f"tv_{name}" for name in self.tv_fields]
-        cols += [f"entropy_mass_{spec.name}" for spec in self.entropies]
-        cols += ["dissipation_increment", "pc15_cumulative", "worst_pc10"]
-        if self.reference is not None:
-            cols.append("l1_error")
-        return cols
+        return (["step", "t", "mass", "linf"]
+                + [f"tv_{name}" for name in self.tv_fields]
+                + [f"entropy_mass_{spec.name}" for spec in self.entropies]
+                + ["dissipation_increment", "pc15_cumulative", "worst_pc10"])
 
     def write_csv(self, path: str) -> None:
         """Deterministic CSV (17 significant digits, fixed column order)."""
@@ -316,6 +292,4 @@ class Monitor:
                 row += [f"{r.entropy_mass[spec.name]:.17g}" for spec in self.entropies]
                 row += [f"{r.dissipation_increment:.17g}",
                         f"{r.pc15_cumulative:.17g}", f"{r.worst_pc10:.17g}"]
-                if self.reference is not None:
-                    row.append(f"{r.l1_error:.17g}")
                 fh.write(",".join(row) + "\n")

@@ -97,6 +97,7 @@ FLUX_KINDS = (LAX_FRIEDRICHS, ENGQUIST_OSHER, GODUNOV)
 _GL_X, _GL_W = leggauss(24)
 _SCAN_BLOCK = 256        # faces per block of the critical-point scan
 _N_SCAN = 129            # points of the critical-point scan grid over the box
+MONOTONICITY_TOL = 1e-12  # the worst d1 >= 0, d2 <= 0 violation validation accepts
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +367,6 @@ class NumericalFlux:
 
     kind: str
     table: FaceFluxTable
-    monotonicity_tol: float = 1e-12
 
     def __post_init__(self):
         if self.kind not in FLUX_KINDS:
@@ -543,7 +543,7 @@ class NumericalFlux:
                 F[i, j] = sub.values(a, np.full(k, vv))
         worst = min(float(np.diff(F, axis=0).min()), float(-np.diff(F, axis=1).max()))
         worst = min(worst, 0.0)
-        if worst < -self.monotonicity_tol:
+        if worst < -MONOTONICITY_TOL:
             raise InputError(f"monotonicity violated on the state box: {worst:.3e}")
         return worst
 
@@ -559,13 +559,6 @@ class NumericalFlux:
             "and re-validating monotonicity", RuntimeWarning, stacklevel=2)
         self.table.rebuild(new_box)
         self.validate_monotonicity(n_states=12, max_faces=20)
-
-    @property
-    def incremental_ratio(self) -> float:
-        """Sup over faces of the flux's incremental ratio (lambda for LF)."""
-        if self.kind == LAX_FRIEDRICHS:
-            return float(self.table.lam.max()) if self.table.lam.size else 0.0
-        return float(self.table.speed.max()) if self.table.speed.size else 0.0
 
 
 def make_numerical_flux(kind: str, mesh: SphereMesh, flux: FluxField,
@@ -611,20 +604,22 @@ def init_state(mesh: SphereMesh, u0: Callable) -> SolverState:
     return SolverState(mesh=mesh, u=u)
 
 
-def cfl_timestep(mesh: SphereMesh, flux: FluxField, nf: NumericalFlux,
-                 state_box, safety: float, tau_floor: Optional[float] = None) -> float:
-    """tau = safety * min_K |K| / (p_K * max(Lip(f), incremental ratio))."""
+def cfl_timestep(nf: NumericalFlux, safety: float) -> float:
+    """tau = safety * min_K |K| / (p_K * max(Lip(f), L)) for the scheme ``nf``.
+
+    Everything is read from its table: the mesh gives |K| / p_K, Lip(f) is
+    ``FluxField.lipschitz_on`` over the table's state box, and L is the
+    largest face speed over that box (the largest lambda for LF).  A flux
+    whose rate is below 1e-14 there has no CFL time step (``ConfigError``)."""
     if not (0.0 < safety < 1.0):
         raise ConfigError(f"CFL safety factor must lie in (0, 1), got {safety}")
-    lip = flux.lipschitz_on(float(state_box[0]), float(state_box[1]))
-    rate = max(lip, nf.incremental_ratio)
-    geo = float((mesh.cell_area / mesh.cell_perimeter).min())
+    t = nf.table
+    speeds = t.lam if nf.kind == LAX_FRIEDRICHS else t.speed
+    rate = max(t.flux.lipschitz_on(*t.box), float(speeds.max(initial=0.0)))
     if rate < 1e-14:
-        if tau_floor is None:
-            raise ConfigError("flux is state-independent (Lip(f) = 0); "
-                              "provide tau_floor to choose a time step")
-        return float(tau_floor)
-    return safety * geo / rate
+        raise ConfigError(f"flux is state-independent on the state box {t.box} "
+                          "(Lip(f) = 0): no CFL time step")
+    return safety * float((t.mesh.cell_area / t.mesh.cell_perimeter).min()) / rate
 
 
 @dataclass
@@ -659,19 +654,21 @@ class ConvexDecomposition:
         return float(np.max(np.abs(recon / mesh.cell_perimeter - self.u_new)))
 
 
-def step(state: SolverState, flux: FluxField, nf: NumericalFlux,
-         threads: int = 1, need_decomposition: bool = True, pool=None) -> tuple:
-    """One explicit update; returns (new state, convex decomposition).
+def step(state: SolverState, nf: NumericalFlux, threads: int = 1,
+         need_decomposition: bool = True, pool=None) -> tuple:
+    """One explicit update of ``state`` by the scheme ``nf`` with time step
+    ``state.tau``; returns (new state, convex decomposition).
 
     Each cell sums its signed face fluxes over its mesh slots with
     ``SphereMesh.cell_sum``.  With ``need_decomposition=False`` the
     decomposition (two per-slot state arrays and the divergence correction,
-    a sizeable share of a plain step) is skipped and ``None`` is returned in its place; the update itself
-    is unchanged.  Such a Godunov step on a table without critical points
-    takes s at each face's upwind cell, once per face and on no pool: the
-    first extremal candidate of a monotone face is its upwind end.  Otherwise,
-    with ``threads > 1`` the faces are evaluated on ``pool`` (see
-    :func:`thread_pool`), or on a pool made for this step if it is None."""
+    a sizeable share of a plain step) is skipped and ``None`` is returned in
+    its place; the update itself is unchanged.  Such a Godunov step on a
+    table without critical points takes s at each face's upwind cell, once
+    per face and on no pool: the first extremal candidate of a monotone face
+    is its upwind end.  Otherwise, with ``threads > 1`` the faces are
+    evaluated on ``pool`` (see :func:`thread_pool`), or on a pool made for
+    this step if it is None."""
     mesh = state.mesh
     u = state.u
     tau = state.tau
@@ -751,20 +748,22 @@ def _face_fluxes(nf: NumericalFlux, a: np.ndarray, b: np.ndarray, threads: int, 
     return tuple(None if col[0] is None else np.concatenate(col) for col in zip(*parts))
 
 
-def run(state0: SolverState, flux: FluxField, nf: NumericalFlux, T: float,
-        tau: float, hooks: Sequence[Callable] = (), threads: int = 1) -> SolverState:
-    """Step until t >= T, shortening the final step to land exactly on T.
+def run(state0: SolverState, nf: NumericalFlux, T: float, tau: float,
+        hooks: Sequence[Callable] = (), threads: int = 1) -> SolverState:
+    """Step ``state0`` by the scheme ``nf`` until t >= T, shortening the final
+    step to land exactly on T; each hook is called as ``hook(state, decomp)``
+    after every step, and the decomposition is built only if there is one.
 
     With ``threads > 1`` every step evaluates its faces on one pool, made
     once for the run."""
-    if T < 0.0:
-        raise ConfigError(f"final time must be non-negative, got {T}")
+    if not (0.0 <= T < math.inf):
+        raise ConfigError(f"final time must be finite and non-negative, got {T}")
     state = replace(state0, tau=tau)
     need_decomp = len(hooks) > 0
     with thread_pool(threads) as pool:
         while state.t < T:
             state.tau = min(tau, T - state.t)
-            state, decomp = step(state, flux, nf, threads=threads,
+            state, decomp = step(state, nf, threads=threads,
                                  need_decomposition=need_decomp, pool=pool)
             for hook in hooks:
                 hook(state, decomp)

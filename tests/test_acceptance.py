@@ -58,7 +58,7 @@ def _burgers_setup(kind=GODUNOV, n_phi=16, n_theta=8, safety=0.5):
     flux = make_flux("latitude_burgers", {"c_expr": "sin(theta)"})
     box = (-1.5, 1.5)
     nf = make_numerical_flux(kind, mesh, flux, box=box)
-    tau = cfl_timestep(mesh, flux, nf, box, safety)
+    tau = cfl_timestep(nf, safety)
     state = init_state(mesh, lambda phi, theta: 0.5 * np.cos(theta)
                        + 0.4 * np.sin(phi) * np.sin(theta))
     state.tau = tau
@@ -147,14 +147,14 @@ def test_3_conservation_max_principle(report_line):
         flux = make_flux(name, params)
         box = (-1.5, 1.5)
         nf = make_numerical_flux(GODUNOV, mesh, flux, box=box)
-        tau = cfl_timestep(mesh, flux, nf, box, 0.5)
+        tau = cfl_timestep(nf, 0.5)
         state = init_state(mesh, lambda phi, theta: 0.5 * np.cos(theta)
                            + 0.4 * np.sin(phi) * np.sin(theta))
         state.tau = tau
         mass0 = float(state.u @ mesh.cell_area)
         linf = float(np.abs(state.u).max())
         for _ in range(500):
-            state, _ = step(state, flux, nf, need_decomposition=False)
+            state, _ = step(state, nf, need_decomposition=False)
             state.tau = tau
             mass = float(state.u @ mesh.cell_area)
             assert abs(mass - mass0) <= 1e-12 * (1.0 + abs(mass0))
@@ -177,8 +177,8 @@ def test_4_l1_contraction(report_line):
     state_v.tau = tau
     dist = float(np.abs(state_u.u - state_v.u) @ mesh.cell_area)
     for _ in range(200):
-        state_u, _ = step(state_u, flux, nf, need_decomposition=False)
-        state_v, _ = step(state_v, flux, nf, need_decomposition=False)
+        state_u, _ = step(state_u, nf, need_decomposition=False)
+        state_v, _ = step(state_v, nf, need_decomposition=False)
         state_u.tau = tau
         state_v.tau = tau
         new_dist = float(np.abs(state_u.u - state_v.u) @ mesh.cell_area)
@@ -200,7 +200,7 @@ def test_5_entropy_inequalities(report_line, capsys):
         cumulative = 0.0
         T = 0.0
         for _ in range(100):
-            state, decomp = step(state, flux, nf)
+            state, decomp = step(state, nf)
             state.tau = tau
             T += tau
             for spec in specs:
@@ -241,7 +241,7 @@ def test_6_decoupling_oracle(report_line):
     worst = 0.0
     shock_seen = False
     for n in range(200):
-        state, decomp = step(state, flux, nf)
+        state, decomp = step(state, nf)
         state.tau = tau
         for cells, oracle in oracles:
             oracle.step(tau)
@@ -265,7 +265,7 @@ def test_7_tvd(report_line):
     tv = discrete_tv_x(state, X, weights)
     scale = max(1.0, tv)
     for _ in range(200):
-        state, _ = step(state, flux, nf, need_decomposition=False)
+        state, _ = step(state, nf, need_decomposition=False)
         state.tau = tau
         new_tv = discrete_tv_x(state, X, weights)
         assert new_tv <= tv + 1e-10 * scale

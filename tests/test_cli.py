@@ -70,6 +70,26 @@ def test_bad_safety_and_kind_exit_2(tmp_path):
     assert main(["run", cfg2]) == 2
 
 
+@pytest.mark.parametrize("T", [math.nan, math.inf, -1.0], ids=["nan", "inf", "negative"])
+@pytest.mark.parametrize("command", ["run", "oracle", "converge"])
+def test_non_finite_or_negative_T_exit_2(tmp_path, capsys, command, T):
+    # refused when the config is read: no step, no report, no endless loop
+    cfg = _write_config(tmp_path / "c.json",
+                        flux={"name": "solid_rotation", "params": {"omega": 1.0}}, T=T)
+    out = tmp_path / "out"
+    assert main([command, cfg, "--out-dir", str(out), "--levels", "2"]) == 2
+    assert "T must be a finite non-negative time" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("k", ["nan", "inf", "-inf"])
+def test_non_finite_kruzkov_parameter_exit_2(tmp_path, capsys, k):
+    cfg = _write_config(tmp_path / "c.json",
+                        diagnostics={"entropies": ["square", f"kruzkov:{k}"]})
+    assert main(["run", cfg, "--out-dir", str(tmp_path / "out")]) == 2
+    assert "Kruzkov parameter must be finite" in capsys.readouterr().err
+
+
 def test_oracle_command(tmp_path):
     cfg = _write_config(tmp_path / "c.json")
     out = tmp_path / "out"

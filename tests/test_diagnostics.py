@@ -35,7 +35,7 @@ def _setup(kind=GODUNOV, n_phi=8, n_theta=4):
     flux = make_flux("latitude_burgers", {"c_expr": "sin(theta)"})
     box = (-1.5, 1.5)
     nf = make_numerical_flux(kind, mesh, flux, box=box)
-    tau = cfl_timestep(mesh, flux, nf, box, 0.5)
+    tau = cfl_timestep(nf, 0.5)
     state = init_state(mesh, lambda phi, theta: 0.5 * np.cos(theta)
                        + 0.3 * np.sin(phi) * np.sin(theta))
     state.tau = tau
@@ -106,7 +106,7 @@ def test_tv_diminishing_over_trajectory():
     weights = tv_face_weights(mesh, _dphi())
     series = [discrete_tv_x(state, _dphi(), weights)]
     for _ in range(100):
-        state, _ = step(state, flux, nf)
+        state, _ = step(state, nf)
         state.tau = tau
         series.append(discrete_tv_x(state, _dphi(), weights))
     report = check_tv_diminishing(series, tau, compatible=True)
@@ -130,7 +130,7 @@ def test_entropy_inequalities_all_kinds(kind):
     mesh, flux, nf, tau, state = _setup(kind)
     specs = [square_spec(), kruzkov_spec(-0.5), kruzkov_spec(0.0), kruzkov_spec(0.5)]
     for _ in range(20):
-        state, decomp = step(state, flux, nf)
+        state, decomp = step(state, nf)
         state.tau = tau
         for spec in specs:
             rec = entropy_report(nf, decomp, spec)
@@ -144,7 +144,7 @@ def test_entropy_mass_decreases_square():
     spec = square_spec()
     masses = []
     for _ in range(50):
-        state, decomp = step(state, flux, nf)
+        state, decomp = step(state, nf)
         state.tau = tau
         rec = entropy_report(nf, decomp, spec)
         masses.append((rec.entropy_mass_old, rec.entropy_mass_new))
@@ -155,7 +155,7 @@ def test_entropy_mass_decreases_square():
 
 def test_divergence_correction_vanishes_for_inert_latitude_flux():
     mesh, flux, nf, tau, state = _setup()
-    state, decomp = step(state, flux, nf)
+    state, decomp = step(state, nf)
     assert np.abs(decomp.div_corr).max() == 0.0
     assert np.array_equal(decomp.u_ke, decomp.utilde)
 
@@ -190,12 +190,12 @@ def test_l1_error_triangle_inequality(small_mesh):
 
 def test_monitor_csv_roundtrip(tmp_path):
     mesh, flux, nf, tau, state = _setup()
-    monitor = Monitor(mesh, nf,
+    monitor = Monitor(nf,
                       tv_fields={"dphi": tv_face_weights(mesh, _dphi())},
                       entropies=[square_spec(), kruzkov_spec(0.0)])
     monitor.record_initial(state)
     from spherefv import run
-    final = run(state, flux, nf, T=20 * tau, tau=tau, hooks=[monitor])
+    final = run(state, nf, T=20 * tau, tau=tau, hooks=[monitor])
     path = tmp_path / "diag.csv"
     monitor.write_csv(str(path))
     lines = path.read_text().strip().splitlines()
@@ -211,32 +211,25 @@ def test_monitor_csv_roundtrip(tmp_path):
     assert np.all(np.diff(tv) <= 1e-10)
 
 
-def test_monitor_takes_alpha_once_per_state_box(monkeypatch):
+def test_square_report_takes_exact_alpha():
+    # U = u^2/2 has U'' = 1 on every box; Kruzkov and a default spec take 0
     mesh, flux, nf, tau, state = _setup()
-    boxes = []
-    modulus = EntropySpec.convexity_modulus
-
-    def counted(self, box, n=1000):
-        boxes.append(box)
-        return modulus(self, box, n)
-
-    monkeypatch.setattr(EntropySpec, "convexity_modulus", counted)
-    monitor = Monitor(mesh, nf, entropies=[square_spec(), kruzkov_spec(0.0)])
-    for _ in range(5):
-        state, decomp = step(state, flux, nf)
+    assert EntropySpec(kind="smooth", name="quartic").alpha == 0.0
+    for box in ((-1.5, 1.5), (-2.0, 2.0)):
+        nf.table.rebuild(box)
+        state, decomp = step(state, nf)
         state.tau = tau
-        monitor(state, decomp)
-    assert boxes == [(-1.5, 1.5)] * 2            # once per entropy
-    nf.table.rebuild((-2.0, 2.0))
-    state, decomp = step(state, flux, nf)
-    monitor(state, decomp)
-    assert boxes[2:] == [(-2.0, 2.0)] * 2
+        square = entropy_report(nf, decomp, square_spec())
+        assert square.alpha == 1.0 and square.pc12_satisfied
+        assert square.dissipation_increment > 0.0
+        assert square.pc12_lhs == square.entropy_mass_new + 0.5 * square.dissipation_increment
+        assert entropy_report(nf, decomp, kruzkov_spec(0.0)).alpha == 0.0
 
 
 def test_monitor_takes_entropy_masses_from_the_reports(monkeypatch):
     mesh, flux, nf, tau, state = _setup()
     specs = [square_spec(), kruzkov_spec(0.0)]
-    monitor = Monitor(mesh, nf, entropies=specs)
+    monitor = Monitor(nf, entropies=specs)
     monitor.record_initial(state)
     calls = []
     u_values = EntropySpec.u_values
@@ -247,7 +240,7 @@ def test_monitor_takes_entropy_masses_from_the_reports(monkeypatch):
 
     monkeypatch.setattr(EntropySpec, "u_values", counted)
     for _ in range(3):
-        state, decomp = step(state, flux, nf)
+        state, decomp = step(state, nf)
         state.tau = tau
         monitor(state, decomp)
     # U at the old and new cell states and at the two per-slot states, no more

@@ -39,7 +39,7 @@ def _setup(kind=GODUNOV, n_phi=8, n_theta=4, flux_name="latitude_burgers",
     flux = make_flux(flux_name, {"c_expr": "sin(theta)"}
                      if flux_name == "latitude_burgers" else {})
     nf = make_numerical_flux(kind, mesh, flux, box=box)
-    tau = cfl_timestep(mesh, flux, nf, box, safety)
+    tau = cfl_timestep(nf, safety)
     return mesh, flux, nf, tau
 
 
@@ -242,13 +242,11 @@ def test_cfl_shrinks_with_refinement():
 def test_cfl_validation():
     mesh, flux, nf, _ = _setup()
     with pytest.raises(ConfigError):
-        cfl_timestep(mesh, flux, nf, (-1.0, 1.0), safety=1.5)
+        cfl_timestep(nf, safety=1.5)
     zero = make_flux("solid_rotation", {"omega": 0.0})
     nf0 = make_numerical_flux(GODUNOV, mesh, zero)
-    with pytest.raises(ConfigError):
-        cfl_timestep(mesh, zero, nf0, (-1.0, 1.0), safety=0.5)
-    assert cfl_timestep(mesh, zero, nf0, (-1.0, 1.0), safety=0.5,
-                        tau_floor=0.01) == 0.01
+    with pytest.raises(ConfigError, match="state-independent"):
+        cfl_timestep(nf0, safety=0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +257,7 @@ def test_constant_state_divergence_free_flux_inert():
     mesh, flux, nf, tau = _setup(GODUNOV, flux_name="solid_rotation")
     state = init_state(mesh, lambda phi, theta: 0.75 + 0.0 * phi)
     state.tau = tau
-    new, _ = step(state, flux, nf)
+    new, _ = step(state, nf)
     assert np.abs(new.u - 0.75).max() <= 1e-14
 
 
@@ -271,7 +269,7 @@ def test_mass_conservation_and_max_principle(kind):
     mass0 = float(state.u @ mesh.cell_area)
     linf = np.abs(state.u).max()
     for _ in range(50):
-        state, _ = step(state, flux, nf)
+        state, _ = step(state, nf)
         state.tau = tau
         mass = float(state.u @ mesh.cell_area)
         assert abs(mass - mass0) <= 1e-12 * (1.0 + abs(mass0))
@@ -283,12 +281,12 @@ def test_mass_conservation_and_max_principle(kind):
 def test_run_t_zero_and_hook_count():
     mesh, flux, nf, tau = _setup()
     state = _initial(mesh)
-    final = run(state, flux, nf, T=0.0, tau=tau)
+    final = run(state, nf, T=0.0, tau=tau)
     assert np.array_equal(final.u, state.u) and final.n == 0
 
     calls = []
     T = 7.3 * tau
-    final = run(state, flux, nf, T=T, tau=tau,
+    final = run(state, nf, T=T, tau=tau,
                 hooks=[lambda s, d: calls.append(s.n)])
     assert len(calls) == math.ceil(T / tau)
     assert final.t == pytest.approx(T, rel=1e-14)
@@ -296,8 +294,9 @@ def test_run_t_zero_and_hook_count():
 
 def test_negative_time_rejected():
     mesh, flux, nf, tau = _setup()
-    with pytest.raises(ConfigError):
-        run(_initial(mesh), flux, nf, T=-1.0, tau=tau)
+    for T in (-1.0, math.nan, math.inf):       # an infinite T would never end
+        with pytest.raises(ConfigError, match="finite and non-negative"):
+            run(_initial(mesh), nf, T=T, tau=tau)
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +313,7 @@ def test_reconstruction_identity(kind, n_phi, n_theta):
     state = _initial(mesh)
     state.tau = tau
     for _ in range(10):
-        state, decomp = step(state, flux, nf)
+        state, decomp = step(state, nf)
         state.tau = tau
         assert decomp.reconstruction_residual() <= 1e-12
 
@@ -323,7 +322,7 @@ def test_intermediate_states_are_convex_combinations():
     mesh, flux, nf, tau = _setup(GODUNOV)
     state = _initial(mesh)
     state.tau = tau
-    state, d = step(state, flux, nf)
+    state, d = step(state, nf)
     fid = mesh.cell_faces
     own = d.u_old[mesh.slot_cell]
     other = np.where(mesh.cell_signs > 0, d.u_right[fid], d.u_left[fid])
@@ -354,14 +353,14 @@ def test_monitored_godunov_step_evaluates_candidates_once(monkeypatch):
     state = _initial(mesh)
     state.tau = tau
     calls = _count_godunov_states(monkeypatch)
-    _, decomp = step(state, flux, nf)
+    _, decomp = step(state, nf)
     G = nf.smooth_fluxes(square_spec().U, square_spec().dU, decomp)
     entropy_report(nf, decomp, square_spec())
     assert calls == [mesh.n_faces]                  # the step's own evaluation
     # Burgers over a box around 0 has a critical column and no upwind cells,
     # so a plain step takes the candidates too
     assert nf.table.crit.shape[1] == 1 and nf.table.upwind is None
-    _, plain = step(state, flux, nf, need_decomposition=False)
+    _, plain = step(state, nf, need_decomposition=False)
     assert plain is None and len(calls) == 2
     monkeypatch.undo()
 
@@ -370,13 +369,13 @@ def test_monitored_godunov_step_evaluates_candidates_once(monkeypatch):
     # the pointwise formulas in test_entropy_fluxes_match_pointwise_formulas_bitwise)
     _, pick = nf._godunov_state(decomp.u_left, decomp.u_right, decomp.s_left, decomp.s_right)
     assert np.array_equal(decomp.pick, pick) and np.any(pick >= 2)
-    _, threaded = step(state, flux, nf, threads=4)
+    _, threaded = step(state, nf, threads=4)
     assert np.array_equal(threaded.pick, pick)
     for got, expected in zip(G, nf.smooth_fluxes(square_spec().U, square_spec().dU, threaded)):
         np.testing.assert_array_equal(_bits(got), _bits(expected))
     for kind in (LAX_FRIEDRICHS, ENGQUIST_OSHER):
         other = make_numerical_flux(kind, mesh, flux, box=(-1.5, 1.5))
-        assert step(state, flux, other)[1].pick is None
+        assert step(state, other)[1].pick is None
 
 
 @pytest.mark.parametrize("name, params, box, offset", [
@@ -393,7 +392,7 @@ def test_plain_upwind_step_matches_general_path_bitwise(name, params, box, offse
     flux = make_flux(name, params)
     nf = make_numerical_flux(GODUNOV, mesh, flux, box=box)
     assert nf.table.crit.shape[1] == 0 and nf.table.upwind is not None
-    tau = cfl_timestep(mesh, flux, nf, box, 0.5)
+    tau = cfl_timestep(nf, 0.5)
     state = init_state(mesh, lambda phi, theta: offset + 0.5 * np.cos(theta)
                        + 0.3 * np.sin(phi) * np.sin(theta))
     assert box[0] <= state.u.min() and state.u.max() <= box[1]
@@ -402,8 +401,8 @@ def test_plain_upwind_step_matches_general_path_bitwise(name, params, box, offse
     monkeypatch.setattr(fvm, "thread_pool", lambda threads: pools.append(threads))
     plain, general = replace(state, tau=tau), replace(state, tau=tau)
     for _ in range(20):
-        plain, none = step(plain, flux, nf, threads=2, need_decomposition=False)
-        general, decomp = step(general, flux, nf)
+        plain, none = step(plain, nf, threads=2, need_decomposition=False)
+        general, decomp = step(general, nf)
         assert none is None and decomp is not None
         np.testing.assert_array_equal(_bits(plain.u), _bits(general.u))
     assert calls == [mesh.n_faces] * 20 and pools == []
@@ -414,16 +413,17 @@ def test_box_expansion_across_a_critical_point_drops_upwind(monkeypatch):
     flux = make_flux("latitude_burgers", {"c_expr": "sin(theta)"})
     nf = make_numerical_flux(GODUNOV, mesh, flux, box=(0.2, 1.5))
     assert nf.table.upwind is not None and nf.table.view([0, 3]).upwind.shape == (2,)
-    state = replace(_initial(mesh), tau=cfl_timestep(mesh, flux, nf, (-1.0, 1.0), 0.5))
+    # the time step of the table over (0.2, 1.5), before its box expands
+    state = replace(_initial(mesh), tau=cfl_timestep(nf, 0.5))
     assert state.u.min() < 0.0 < state.u.max()
     calls = _count_godunov_states(monkeypatch)
     with pytest.warns(RuntimeWarning, match="state left the tracked box"):
-        plain, _ = step(state, flux, nf, need_decomposition=False)
+        plain, _ = step(state, nf, need_decomposition=False)
     assert nf.table.crit.shape[1] == 1 and nf.table.upwind is None
     assert nf.table.view([0, 3]).upwind is None
     # after the re-validation's sampled faces, the step's own candidates
     assert calls[-1] == mesh.n_faces and calls.count(mesh.n_faces) == 1
-    general, _ = step(state, flux, nf)
+    general, _ = step(state, nf)
     assert calls.count(mesh.n_faces) == 2
     np.testing.assert_array_equal(_bits(plain.u), _bits(general.u))
 
@@ -440,14 +440,14 @@ def test_threaded_step_bitwise_identical(kind, name, params):
     mesh = build_latlon(12, 6, 0.3)
     flux = make_flux(name, params)
     nf = make_numerical_flux(kind, mesh, flux, box=(-1.5, 1.5))
-    tau = cfl_timestep(mesh, flux, nf, (-1.5, 1.5), 0.5)
+    tau = cfl_timestep(nf, 0.5)
     state = _initial(mesh)
     s1, s8 = replace(state), replace(state)
     for _ in range(20):
         s1.tau = tau
         s8.tau = tau
-        s1, _ = step(s1, flux, nf, threads=1)
-        s8, _ = step(s8, flux, nf, threads=8)
+        s1, _ = step(s1, nf, threads=1)
+        s8, _ = step(s8, nf, threads=8)
     assert np.array_equal(s1.u, s8.u)
 
 
@@ -464,9 +464,9 @@ def test_threaded_run_makes_one_pool(monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingPool)
     mesh, flux, nf, tau = _setup(GODUNOV)
     state = _initial(mesh)
-    threaded = run(state, flux, nf, T=10 * tau, tau=tau, hooks=[lambda s, d: None], threads=2)
+    threaded = run(state, nf, T=10 * tau, tau=tau, hooks=[lambda s, d: None], threads=2)
     assert threaded.n == 10 and made == [2]
-    serial = run(state, flux, nf, T=10 * tau, tau=tau, hooks=[lambda s, d: None], threads=1)
+    serial = run(state, nf, T=10 * tau, tau=tau, hooks=[lambda s, d: None], threads=1)
     assert made == [2] and np.array_equal(serial.u, threaded.u)
 
 
@@ -566,16 +566,16 @@ def test_box_expansion_rebuilds_table(path):
     nf = NumericalFlux(kind=GODUNOV, table=table(mesh, flux, box))
     state = _initial(mesh)
     assert state.u.min() < box[0]
-    state.tau = cfl_timestep(mesh, flux, nf, (-1.0, 1.0), 0.5)
+    state.tau = cfl_timestep(make_numerical_flux(GODUNOV, mesh, flux, box=(-1.0, 1.0)), 0.5)
     with pytest.warns(RuntimeWarning, match="state left the tracked box"):
-        step(state, flux, nf)
+        step(state, nf)
     t = nf.table
     assert t.box[0] <= state.u.min() and state.u.max() <= t.box[1]
     fresh = table(mesh, flux, t.box)
     assert (t.D is None) == (path == "generic")
     for name in ("crit", "crit_s", "speed"):
         np.testing.assert_array_equal(getattr(t, name), getattr(fresh, name))
-    assert nf.validate_monotonicity() >= -nf.monotonicity_tol
+    assert nf.validate_monotonicity() >= -fvm.MONOTONICITY_TOL
 
 
 def test_separable_step_never_evaluates_f():
@@ -597,8 +597,9 @@ def test_separable_step_never_evaluates_f():
         for kind in FLUX_KINDS:
             nf = make_numerical_flux(kind, mesh, blind, box=box)
             state = _initial(mesh)
-            state.tau = cfl_timestep(mesh, flux, nf, box, 0.5)
-            _, decomp = step(state, blind, nf)
+            # the time step of the real flux: the blind one has no f_u
+            state.tau = cfl_timestep(make_numerical_flux(kind, mesh, flux, box=box), 0.5)
+            _, decomp = step(state, nf)
             for spec in (square_spec(), kruzkov_spec(0.0)):
                 entropy_report(nf, decomp, spec)
 
@@ -643,10 +644,10 @@ def test_potential_flux_evaluates_no_stencil(a, monkeypatch):
     assert flux.lipschitz_on(*box) > 0.0
     for kind in FLUX_KINDS:
         nf = make_numerical_flux(kind, mesh, flux, box=box)
-        monitor = Monitor(mesh, nf, entropies=[square_spec(), kruzkov_spec(0.0)])
+        monitor = Monitor(nf, entropies=[square_spec(), kruzkov_spec(0.0)])
         state = _initial(mesh)
-        state.tau = cfl_timestep(mesh, flux, nf, box, 0.5)
-        monitor(*step(state, flux, nf))
+        state.tau = cfl_timestep(nf, 0.5)
+        monitor(*step(state, nf))
 
 
 @pytest.mark.parametrize("n_phi, n_theta", [(12, 6), (47, 24)])
@@ -665,8 +666,8 @@ def test_potential_constant_state_preserved(a, n_phi, n_theta):
         div = mesh.cell_sum(mesh.cell_signs * mesh.face_measure[fid] * s[fid])
         assert np.abs(div).max() <= 1e-15
         state = init_state(mesh, lambda phi, theta: 0.75 + 0.0 * phi)
-        state.tau = cfl_timestep(mesh, flux, nf, box, 0.5)
-        new, _ = step(state, flux, nf)
+        state.tau = cfl_timestep(nf, 0.5)
+        new, _ = step(state, nf)
         assert np.abs(new.u - 0.75).max() <= 1e-14
 
 
@@ -807,8 +808,8 @@ def test_inert_faces_get_no_critical_points():
     for kind in FLUX_KINDS:
         nf = NumericalFlux(kind=kind, table=t)
         state = init_state(mesh, lambda phi, theta: 0.75 + 0.0 * phi)
-        state.tau = cfl_timestep(mesh, flux, nf, box, 0.5)
-        new, _ = step(state, flux, nf)
+        state.tau = cfl_timestep(nf, 0.5)
+        new, _ = step(state, nf)
         assert np.abs(new.u - 0.75).max() <= 1e-14
 
 
@@ -931,8 +932,8 @@ def test_entropy_fluxes_match_pointwise_formulas_bitwise(path, kind):
     u[mesh.face_left[at_crit]] = t.crit[at_crit, 0]
     state = init_state(mesh, lambda phi, theta: 0.0 * phi)
     state.u = u
-    state.tau = cfl_timestep(mesh, flux, nf, box, 0.5)
-    _, decomp = step(state, flux, nf)
+    state.tau = cfl_timestep(nf, 0.5)
+    _, decomp = step(state, nf)
     a, b = decomp.u_left, decomp.u_right
     assert np.array_equal(_bits(a), _bits(u[mesh.face_left]))
     assert at_crit.size and np.any(np.signbit(a) & (a == 0.0))
@@ -1007,8 +1008,8 @@ def test_eo_entropy_flux_matches_segment_quadrature(path):
     nf = NumericalFlux(kind=ENGQUIST_OSHER, table=table(mesh, flux, box))
     state = init_state(mesh, lambda phi, theta: 0.0 * phi)
     state.u = np.random.default_rng(55).uniform(-1.2, 1.2, mesh.n_cells)
-    state.tau = cfl_timestep(mesh, flux, nf, box, 0.5)
-    _, decomp = step(state, flux, nf)
+    state.tau = cfl_timestep(nf, 0.5)
+    _, decomp = step(state, nf)
     quartic = EntropySpec(kind="smooth", name="quartic", U=lambda u: 0.25 * u ** 4,
                           dU=lambda u: u ** 3)
     for spec in (square_spec(), quartic):
@@ -1040,16 +1041,16 @@ def test_eo_step_takes_critical_values_from_the_table(monkeypatch):
         nf = make_numerical_flux(ENGQUIST_OSHER, mesh, flux, box=box)
         assert nf.table.crit.shape[1] >= 1
         state = _initial(mesh)
-        state.tau = cfl_timestep(mesh, flux, nf, box, 0.5)
+        state.tau = cfl_timestep(nf, 0.5)
         calls.clear()
-        step(state, flux, nf, need_decomposition=False)
+        step(state, nf, need_decomposition=False)
         assert calls == [(mesh.n_faces,)] * 2
     monkeypatch.setattr(FaceFluxTable, "sp", forbidden_sp)
     for flux in (make_flux("latitude_burgers", {"c_expr": "sin(theta)"}),
                  make_flux("potential", {"a": POTENTIALS[0]})):
         nf = make_numerical_flux(ENGQUIST_OSHER, mesh, flux, box=box)
         state = _initial(mesh)
-        state.tau = cfl_timestep(mesh, flux, nf, box, 0.5)
-        _, decomp = step(state, flux, nf)
+        state.tau = cfl_timestep(nf, 0.5)
+        _, decomp = step(state, nf)
         for spec in (square_spec(), kruzkov_spec(0.0)):
             entropy_report(nf, decomp, spec)
