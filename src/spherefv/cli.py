@@ -68,7 +68,44 @@ def _require(cfg: dict, key: str, where: str):
     return cfg[key]
 
 
-def _entropy_spec(name: str) -> dg.EntropySpec:
+def _section(cfg: dict, key: str, where: str = "config", required: bool = True) -> dict:
+    """The JSON object ``cfg[key]`` (empty when optional and absent)."""
+    value = _require(cfg, key, where) if required else cfg.get(key, {})
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key} in {where} must be a JSON object, got {value!r}")
+    return value
+
+
+def _integer(value, key: str) -> int:
+    """An integer config value; a float only if it is integral, never a bool."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or (isinstance(value, float) and not value.is_integer())):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _real(value, key: str, what: str = "a finite real number") -> float:
+    """A finite real config value (an int or a float, never a bool)."""
+    number = math.nan
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:           # an integer beyond the float range
+            pass
+    if not math.isfinite(number):
+        raise ConfigError(f"{key} must be {what}, got {value!r}")
+    return number
+
+
+def _list(value, key: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"{key} must be a list, got {value!r}")
+    return value
+
+
+def _entropy_spec(name) -> dg.EntropySpec:
+    if not isinstance(name, str):
+        raise ConfigError(f"diagnostics.entropies entries must be strings, got {name!r}")
     if name == "square":
         return dg.square_spec()
     if name.startswith("kruzkov:"):
@@ -92,12 +129,14 @@ def load_config(path: str) -> ScenarioConfig:
         raise ConfigError(f"config {path} is not valid JSON: line {exc.lineno}, "
                           f"column {exc.colno}: {exc.msg}") from exc
 
-    mesh_cfg = _require(raw, "mesh", "config")
-    flux_cfg = _require(raw, "flux", "config")
-    nf_cfg = raw.get("numerical_flux", {})
-    init_cfg = _require(raw, "initial", "config")
-    diag_cfg = raw.get("diagnostics", {})
-    out_cfg = raw.get("outputs", {})
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config {path} must hold a JSON object")
+    mesh_cfg = _section(raw, "mesh")
+    flux_cfg = _section(raw, "flux")
+    nf_cfg = _section(raw, "numerical_flux", required=False)
+    init_cfg = _section(raw, "initial")
+    diag_cfg = _section(raw, "diagnostics", required=False)
+    out_cfg = _section(raw, "outputs", required=False)
 
     if "expression" in init_cfg:
         expr = str(init_cfg["expression"])
@@ -111,7 +150,7 @@ def load_config(path: str) -> ScenarioConfig:
         raise ConfigError("initial must provide 'expression' or 'name'")
     compile_expression(expr, ["phi", "theta", "n1", "n2", "n3"])   # early validation
 
-    safety = float(nf_cfg.get("safety", 0.5))
+    safety = _real(nf_cfg.get("safety", 0.5), "numerical_flux.safety")
     if not (0.0 < safety < 1.0):
         raise ConfigError(f"numerical_flux.safety must lie in (0, 1), got {safety}")
     kind = str(nf_cfg.get("kind", fvm.GODUNOV))
@@ -119,31 +158,32 @@ def load_config(path: str) -> ScenarioConfig:
         raise ConfigError(f"unknown numerical flux kind {kind!r}; "
                           f"choose from {fvm.FLUX_KINDS}")
 
-    T = float(_require(raw, "T", "config"))
-    if not (0.0 <= T < math.inf):
+    T = _real(_require(raw, "T", "config"), "T", "a finite non-negative time")
+    if T < 0.0:
         raise ConfigError(f"T must be a finite non-negative time, got {T}")
 
-    tv_fields = list(diag_cfg.get("tv_fields", []))
+    tv_fields = list(_list(diag_cfg.get("tv_fields", []), "diagnostics.tv_fields"))
     for name in tv_fields:
         if name != "dphi":
             raise ConfigError(f"unsupported TV field {name!r}; only 'dphi' "
                               "(rotation about the polar axis) is available")
 
     cfg = ScenarioConfig(
-        n_phi=int(_require(mesh_cfg, "n_phi", "mesh")),
-        n_theta=int(_require(mesh_cfg, "n_theta", "mesh")),
-        theta_min=float(_require(mesh_cfg, "theta_min", "mesh")),
+        n_phi=_integer(_require(mesh_cfg, "n_phi", "mesh"), "mesh.n_phi"),
+        n_theta=_integer(_require(mesh_cfg, "n_theta", "mesh"), "mesh.n_theta"),
+        theta_min=_real(_require(mesh_cfg, "theta_min", "mesh"), "mesh.theta_min"),
         flux_name=str(_require(flux_cfg, "name", "flux")),
-        flux_params=dict(flux_cfg.get("params", {})),
+        flux_params=dict(_section(flux_cfg, "params", "flux", required=False)),
         nf_kind=kind,
         safety=safety,
         initial_expr=expr,
         T=T,
         tv_fields=tv_fields,
-        entropies=[_entropy_spec(e) for e in diag_cfg.get("entropies", [])],
+        entropies=[_entropy_spec(e) for e in _list(diag_cfg.get("entropies", []),
+                                                    "diagnostics.entropies")],
         csv_name=str(out_cfg.get("csv", "diag.csv")),
         vtk_prefix=str(out_cfg.get("vtk", "state")),
-        vtk_cadence=int(out_cfg.get("vtk_cadence", 0)),
+        vtk_cadence=_integer(out_cfg.get("vtk_cadence", 0), "outputs.vtk_cadence"),
     )
     # fail fast on registry and mesh parameter problems
     fluxmod.make_flux(cfg.flux_name, cfg.flux_params)
@@ -243,6 +283,8 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str, threads: int = 1) -> int:
         "reconstruction_residual": recon_worst[0],
         "reconstruction_ok": recon_ok,
         "state_box": list(nf.table.box),
+        # informational: these keys do not enter the exit code
+        "entropies": monitor.entropy_summary(),
     }
     _write_report(out_dir, payload)
     ok = mass_ok and pc10_ok and recon_ok

@@ -44,12 +44,15 @@ def _stencil(shifted: Callable, step: float = _FD_STEP):
 class Term(NamedTuple):
     """One term g(u) X(phi, theta) of a flux f = sum_j g_j(u) X_j: ``g`` and
     ``g_u`` elementwise in u, ``X`` as ``f`` without u; a split potential's
-    term also has the ``potential`` A(n1, n2, n3) with X = n x grad A."""
+    term also has the ``potential`` A(n1, n2, n3) with X = n x grad A.
+    ``degree`` is g's degree as a polynomial in u when it is declared
+    (:func:`separable`), else None."""
 
     g: Callable
     g_u: Callable
     X: Callable
     potential: Optional[Callable] = None
+    degree: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -124,12 +127,14 @@ def _from_terms(name: str, terms: Sequence[Term], **fields) -> FluxField:
                      terms=tuple(terms), **fields)
 
 
-def separable(name: str, g: Callable, g_u: Callable, X: Callable) -> FluxField:
+def separable(name: str, g: Callable, g_u: Callable, X: Callable,
+              degree: Optional[int] = None) -> FluxField:
     """Flux f(u, x) = g(u) X(x), with f_u = g_u(u) X(x): one :class:`Term`.
 
     ``g`` and ``g_u`` act elementwise on state arrays; ``X(phi, theta)``
-    returns the intrinsic components, shape ``(2,) + broadcast``."""
-    return _from_terms(name, [Term(g, g_u, X)])
+    returns the intrinsic components, shape ``(2,) + broadcast``.
+    ``degree`` declares g a polynomial of that degree in u (None: unknown)."""
+    return _from_terms(name, [Term(g, g_u, X, degree=degree)])
 
 
 def _sphere_normals(phi, theta):
@@ -295,7 +300,7 @@ def make_flux(name: str, params: Optional[dict] = None) -> FluxField:
         def X(phi, theta):
             return np.stack([np.full(np.shape(theta), omega), np.zeros(np.shape(theta))])
 
-        return separable(name, g=lambda u: u, g_u=np.ones_like, X=X)
+        return separable(name, g=lambda u: u, g_u=np.ones_like, X=X, degree=1)
 
     if name == "latitude_burgers":
         c_expr = str(params.pop("c_expr", "1"))
@@ -307,7 +312,7 @@ def make_flux(name: str, params: Optional[dict] = None) -> FluxField:
             return np.stack([np.broadcast_to(c(theta=theta), np.shape(theta)),
                              np.zeros(np.shape(theta))])
 
-        return separable(name, g=lambda u: 0.5 * u * u, g_u=lambda u: u, X=X)
+        return separable(name, g=lambda u: 0.5 * u * u, g_u=lambda u: u, X=X, degree=2)
 
     if name == "potential":
         if "a" not in params:

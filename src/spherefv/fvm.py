@@ -29,7 +29,9 @@ carries; a flux that carries neither is rejected with ``ConfigError``:
   potential that splits, a = sum_j g_j(u) A_j(n), has
   D_ej = [A_j(end) - A_j(start)] / |e|, the vertex difference below term
   by term.  The entropy-flux average is sum_j D_ej Phi_j(u), with Phi_j the
-  scalar integral of U' g_j' from 0 to u.
+  scalar integral of U' g_j' from 0 to u by the Gauss-Legendre rule that is
+  exact for it when U' and g_j are polynomials of known degree (2 nodes for
+  U = u^2/2 with Burgers), and by 24 points otherwise.
 - *general vertex path.*  For f = n x grad a, given by any other potential
   a(u, n), the flux through a face is the tangential derivative of a along
   it, so s_e(u) = [a(u, end) - a(u, start)] / |e| exactly, with the face's
@@ -71,12 +73,13 @@ partition sum with the signs of the increments of s_e weighting those of S.
 By exact consistency F(k, k) = s_e(k), the
 Crandall-Majda flux is the step's own flux minus s_e(k) where both states
 lie above k (s_e(k) minus it below); only faces whose states straddle or
-touch k evaluate F again.
+touch k, sgn(a - k) sgn(b - k) <= 0, evaluate F again.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -94,7 +97,7 @@ ENGQUIST_OSHER = "engquist_osher"
 GODUNOV = "godunov"
 FLUX_KINDS = (LAX_FRIEDRICHS, ENGQUIST_OSHER, GODUNOV)
 
-_GL_X, _GL_W = leggauss(24)
+_GL_MAX = 24             # Gauss-Legendre points of an entropy flux of unknown degree
 _SCAN_BLOCK = 256        # faces per block of the critical-point scan
 _N_SCAN = 129            # points of the critical-point scan grid over the box
 MONOTONICITY_TOL = 1e-12  # the worst d1 >= 0, d2 <= 0 violation validation accepts
@@ -273,30 +276,39 @@ class FaceFluxTable:
 
     def entropy_average(self, dU: Callable, u):
         """Face average of the entropy flux: integral of U'(w) s_e'(w) dw from
-        0 to ``u`` (24-point Gauss-Legendre), per face; with terms,
-        sum_j D_ej Phi_j(u) (:meth:`separable_entropy`)."""
+        0 to ``u`` by the 24-point Gauss-Legendre rule, per face; with terms,
+        sum_j D_ej Phi_j(u) (:meth:`separable_entropy`, U' of unknown degree)."""
         u = np.asarray(u, dtype=float)
         if u.ndim == 0:
             u = np.full(self.n_faces, float(u))
         if self.D is not None:
-            return _terms_sum(self.D, self.separable_entropy(dU, u))
+            return _terms_sum(self.D, self.separable_entropy(dU, u, None))
+        x, weights = _gauss_legendre(_GL_MAX)
         half = 0.5 * u
         mid = 0.5 * (u + 0.0)       # the midpoint of [0, u], +0.0 at u = -0.0
-        w = mid[:, None] + half[:, None] * _GL_X[None, :]          # (F, 24)
+        w = mid[:, None] + half[:, None] * x[None, :]              # (F, 24)
         vals = dU(w) * self.sp(w)
-        return half * np.sum(_GL_W * vals, axis=-1)
+        return half * np.sum(weights * vals, axis=-1)
 
-    def separable_entropy(self, dU: Callable, u) -> list:
-        """[Phi_j(u)]: the integrals of U'(w) g_j'(w) dw from 0 to ``u``
-        (24-point Gauss-Legendre), one per term, elementwise over ``u``."""
+    def separable_entropy(self, dU: Callable, u, dU_degree: Optional[int]) -> list:
+        """[Phi_j(u)]: the integrals of U'(w) g_j'(w) dw from 0 to ``u``, one
+        per term, elementwise over ``u``, by Gauss-Legendre quadrature.
+
+        When U' (degree ``dU_degree``) and g_j (``Term.degree``) are both
+        polynomials in u, U' g_j' has degree p = deg U' + deg g_j - 1 and
+        p // 2 + 1 nodes integrate it exactly (at most 24); otherwise the
+        rule has 24 points."""
         half = 0.5 * u
         mid = 0.5 * (u + 0.0)       # the midpoint of [0, u], +0.0 at u = -0.0
         w = np.empty_like(u)
         phi = []
         for term in self.flux.terms:
+            n = _GL_MAX
+            if dU_degree is not None and term.degree is not None:
+                n = min(n, (dU_degree + max(term.degree - 1, 0)) // 2 + 1)
             # node by node, in reused buffers that stay in cache
             total = np.zeros_like(u)
-            for x, weight in zip(_GL_X, _GL_W):
+            for x, weight in zip(*_gauss_legendre(n)):
                 np.multiply(half, x, out=w)
                 w += mid
                 value = dU(w) * term.g_u(w)
@@ -304,6 +316,15 @@ class FaceFluxTable:
                 total += value
             phi.append(half * total)
         return phi
+
+
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(n: int) -> tuple:
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1],
+    exact for polynomials of degree 2n - 1 (read-only arrays)."""
+    x, w = leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def _take_rows(x, index):
@@ -466,12 +487,14 @@ class NumericalFlux:
 
         F(k, k) = s(k) bitwise for every kind, so faces with both states
         above k take the step's own flux minus s(k), faces with both below
-        s(k) minus it; the others evaluate F on a view of their faces."""
+        s(k) minus it; the others, where sgn(a - k) sgn(b - k) <= 0,
+        evaluate F on a view of their faces."""
         t = self.table
         a, b, F = decomp.u_left, decomp.u_right, decomp.flux_canonical
         s_k = t.s(float(k))
+        sign_a, sign_b = np.sign(a - k), np.sign(b - k)
         G = np.where(a > k, F - s_k, s_k - F)
-        mixed = np.flatnonzero(~(((a > k) & (b > k)) | ((a < k) & (b < k))))
+        mixed = np.flatnonzero(sign_a * sign_b <= 0.0)
         if mixed.size:
             # F(a v k, b v k) and F(a ^ k, b ^ k) in one evaluation
             am, bm = a[mixed], b[mixed]
@@ -479,18 +502,19 @@ class NumericalFlux:
                 np.concatenate([np.maximum(am, k), np.minimum(am, k)]),
                 np.concatenate([np.maximum(bm, k), np.minimum(bm, k)]))
             G[mixed] = both[:mixed.size] - both[mixed.size:]
-        return (G, np.sign(a - k) * (decomp.s_left - s_k),
-                np.sign(b - k) * (decomp.s_right - s_k))
+        return G, sign_a * (decomp.s_left - s_k), sign_b * (decomp.s_right - s_k)
 
-    def smooth_fluxes(self, U: Callable, dU: Callable,
-                      decomp: "ConvexDecomposition") -> tuple:
+    def smooth_fluxes(self, U: Callable, dU: Callable, decomp: "ConvexDecomposition",
+                      dU_degree: Optional[int]) -> tuple:
         """Smooth convex U, with S = :meth:`FaceFluxTable.entropy_average`:
         LF: central form with lambda dissipation; Godunov: S(w*), selected by
         the step's winning candidate ``decomp.pick``; EO:
         1/2 (S(a)+S(b)) - 1/2 sgn(b-a) sum sgn(Delta s) Delta S (see
         :meth:`_variation`).  S at a critical point is taken only where the
         flux needs it; with terms, each Phi_j once per cell state and such
-        critical point."""
+        critical point, by the Gauss order that ``dU_degree`` (the degree of
+        U' as a polynomial, None when unknown) makes exact
+        (:meth:`FaceFluxTable.separable_entropy`)."""
         t = self.table
         mesh = decomp.mesh
         a, b = decomp.u_left, decomp.u_right
@@ -503,7 +527,7 @@ class NumericalFlux:
         w = t.crit[rows, cols]
         if t.D is not None:
             n = decomp.u_old.size
-            phi = t.separable_entropy(dU, np.concatenate([decomp.u_old, w]))
+            phi = t.separable_entropy(dU, np.concatenate([decomp.u_old, w]), dU_degree)
             S_a = _terms_sum(t.D, [p[mesh.face_left] for p in phi])
             S_b = _terms_sum(t.D, [p[mesh.face_right] for p in phi])
             S_w = _terms_sum(_take_rows(t.D, rows), [p[n:] for p in phi])

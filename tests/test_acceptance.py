@@ -204,7 +204,7 @@ def test_5_entropy_inequalities(report_line, capsys):
             state.tau = tau
             T += tau
             for spec in specs:
-                rec = entropy_report(nf, decomp, spec)
+                rec, = entropy_report(nf, decomp, [spec])
                 assert rec.worst_pc10 <= 1e-10
                 assert rec.pc12_satisfied
                 if spec.name == "square":

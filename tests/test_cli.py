@@ -90,6 +90,59 @@ def test_non_finite_kruzkov_parameter_exit_2(tmp_path, capsys, k):
     assert "Kruzkov parameter must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section, key, value, message", [
+    ("mesh", "n_phi", "x", "mesh.n_phi must be an integer"),
+    ("mesh", "n_phi", 12.7, "mesh.n_phi must be an integer"),
+    ("mesh", "n_theta", True, "mesh.n_theta must be an integer"),
+    (None, "T", "soon", "T must be a finite non-negative time"),
+    ("numerical_flux", "safety", None, "numerical_flux.safety must be a finite real number"),
+    ("diagnostics", "entropies", "square", "diagnostics.entropies must be a list"),
+    ("diagnostics", "entropies", [0], "entries must be strings"),
+    ("mesh", None, [8, 4, 0.3], "mesh in config must be a JSON object"),
+], ids=["n_phi-string", "n_phi-fraction", "n_theta-bool", "T-string", "safety-null",
+        "entropies-string", "entropies-number", "mesh-list"])
+def test_mistyped_config_value_exit_2(tmp_path, capsys, section, key, value, message):
+    # a value of the wrong type is a configuration error naming its key:
+    # exit 2, no traceback, no output directory
+    cfg = json.loads(open(_write_config(tmp_path / "base.json")).read())
+    if section is None:
+        cfg[key] = value
+    elif key is None:
+        cfg[section] = value
+    else:
+        cfg[section][key] = value
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out-dir", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_integral_float_mesh_size_accepted(tmp_path):
+    cfg = _write_config(tmp_path / "c.json",
+                        mesh={"n_phi": 8.0, "n_theta": 4, "theta_min": 0.3})
+    loaded = load_config(cfg)
+    assert loaded.n_phi == 8 and type(loaded.n_phi) is int
+
+
+def test_run_reports_entropy_summary(tmp_path):
+    # informational keys in report.json; diag.csv keeps its columns
+    cfg = _write_config(tmp_path / "c.json")
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out-dir", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert sorted(report["entropies"]) == ["kruzkov_0", "square"]
+    for summary in report["entropies"].values():
+        assert sorted(summary) == ["pc12_every_step", "worst_max_abs_r", "worst_pc12_gap"]
+        assert summary["pc12_every_step"] is True and summary["worst_pc12_gap"] <= 0.0
+        assert summary["worst_max_abs_r"] >= 0.0
+    header = (out / "diag.csv").read_text().splitlines()[0].split(",")
+    assert header == ["step", "t", "mass", "linf", "tv_dphi", "entropy_mass_square",
+                      "entropy_mass_kruzkov_0", "dissipation_increment", "pc15_cumulative",
+                      "worst_pc10"]
+
+
 def test_oracle_command(tmp_path):
     cfg = _write_config(tmp_path / "c.json")
     out = tmp_path / "out"

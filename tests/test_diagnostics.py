@@ -133,7 +133,7 @@ def test_entropy_inequalities_all_kinds(kind):
         state, decomp = step(state, nf)
         state.tau = tau
         for spec in specs:
-            rec = entropy_report(nf, decomp, spec)
+            rec, = entropy_report(nf, decomp, [spec])
             assert rec.worst_pc10 <= 1e-10
             assert rec.pc12_satisfied
             assert rec.entropy_mass_new <= rec.entropy_mass_old + 1e-10
@@ -146,7 +146,7 @@ def test_entropy_mass_decreases_square():
     for _ in range(50):
         state, decomp = step(state, nf)
         state.tau = tau
-        rec = entropy_report(nf, decomp, spec)
+        rec, = entropy_report(nf, decomp, [spec])
         masses.append((rec.entropy_mass_old, rec.entropy_mass_new))
     for old, new in masses:
         assert new <= old + 1e-12 * (1.0 + abs(old))
@@ -219,11 +219,11 @@ def test_square_report_takes_exact_alpha():
         nf.table.rebuild(box)
         state, decomp = step(state, nf)
         state.tau = tau
-        square = entropy_report(nf, decomp, square_spec())
+        square, = entropy_report(nf, decomp, [square_spec()])
         assert square.alpha == 1.0 and square.pc12_satisfied
         assert square.dissipation_increment > 0.0
         assert square.pc12_lhs == square.entropy_mass_new + 0.5 * square.dissipation_increment
-        assert entropy_report(nf, decomp, kruzkov_spec(0.0)).alpha == 0.0
+        assert entropy_report(nf, decomp, [kruzkov_spec(0.0)])[0].alpha == 0.0
 
 
 def test_monitor_takes_entropy_masses_from_the_reports(monkeypatch):
@@ -250,3 +250,62 @@ def test_monitor_takes_entropy_masses_from_the_reports(monkeypatch):
     for spec in specs:
         mass = float(np.sum(spec.u_values(state.u) * mesh.cell_area))
         assert last.entropy_mass[spec.name] == mass
+
+
+@pytest.mark.parametrize("kind", ["lax_friedrichs", "engquist_osher", "godunov"])
+def test_one_report_for_several_entropies_matches_single_reports(kind):
+    mesh, flux, nf, tau, state = _setup(kind)
+    specs = [square_spec(), kruzkov_spec(0.0), kruzkov_spec(-0.5),
+             EntropySpec(kind="smooth", name="quartic", U=lambda u: 0.25 * u ** 4,
+                         dU=lambda u: u ** 3)]
+    for _ in range(5):
+        state, decomp = step(state, nf)
+        state.tau = tau
+        together = entropy_report(nf, decomp, specs)
+        assert [rec.name for rec in together] == [spec.name for spec in specs]
+        assert together == [entropy_report(nf, decomp, [spec])[0] for spec in specs]
+    assert entropy_report(nf, decomp, []) == []
+
+
+def test_monitor_without_entropies_does_no_entropy_work(monkeypatch):
+    from spherefv import diagnostics, fvm
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("entropy work in a monitor without entropies")
+
+    mesh, flux, nf, tau, state = _setup()
+    monitor = Monitor(nf, tv_fields={"dphi": tv_face_weights(mesh, _dphi())})
+    monitor.record_initial(state)
+    for name in ("smooth_fluxes", "kruzkov_fluxes"):
+        monkeypatch.setattr(fvm.NumericalFlux, name, forbidden)
+    monkeypatch.setattr(diagnostics, "entropy_report", forbidden)
+    for _ in range(3):
+        state, decomp = step(state, nf)
+        state.tau = tau
+        monitor(state, decomp)
+    assert [r.worst_pc10 for r in monitor.records] == [0.0] * 4
+    assert monitor.pc15_cumulative == 0.0 and monitor.entropy_summary() == {}
+
+
+def test_monitor_entropy_summary():
+    # worst max |R|, worst pc12 gap and PC12 at every step, per entropy
+    mesh, flux, nf, tau, state = _setup()
+    specs = [square_spec(), kruzkov_spec(0.0)]
+    monitor = Monitor(nf, entropies=specs)
+    assert monitor.entropy_summary() == {
+        spec.name: {"worst_max_abs_r": 0.0, "worst_pc12_gap": 0.0, "pc12_every_step": True}
+        for spec in specs}
+    reports = []
+    for _ in range(5):
+        state, decomp = step(state, nf)
+        state.tau = tau
+        monitor(state, decomp)
+        reports.append(entropy_report(nf, decomp, specs))
+    summary = monitor.entropy_summary()
+    for i, spec in enumerate(specs):
+        steps = [step_reports[i] for step_reports in reports]
+        assert summary[spec.name] == {
+            "worst_max_abs_r": max(rec.max_abs_r for rec in steps),
+            "worst_pc12_gap": max(rec.pc12_lhs - rec.pc12_rhs for rec in steps),
+            "pc12_every_step": True}
+        assert summary[spec.name]["worst_pc12_gap"] < 0.0

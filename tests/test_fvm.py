@@ -354,8 +354,8 @@ def test_monitored_godunov_step_evaluates_candidates_once(monkeypatch):
     state.tau = tau
     calls = _count_godunov_states(monkeypatch)
     _, decomp = step(state, nf)
-    G = nf.smooth_fluxes(square_spec().U, square_spec().dU, decomp)
-    entropy_report(nf, decomp, square_spec())
+    G = nf.smooth_fluxes(square_spec().U, square_spec().dU, decomp, square_spec().dU_degree)
+    entropy_report(nf, decomp, [square_spec()])
     assert calls == [mesh.n_faces]                  # the step's own evaluation
     # Burgers over a box around 0 has a critical column and no upwind cells,
     # so a plain step takes the candidates too
@@ -371,7 +371,8 @@ def test_monitored_godunov_step_evaluates_candidates_once(monkeypatch):
     assert np.array_equal(decomp.pick, pick) and np.any(pick >= 2)
     _, threaded = step(state, nf, threads=4)
     assert np.array_equal(threaded.pick, pick)
-    for got, expected in zip(G, nf.smooth_fluxes(square_spec().U, square_spec().dU, threaded)):
+    for got, expected in zip(G, nf.smooth_fluxes(square_spec().U, square_spec().dU, threaded,
+                                                  square_spec().dU_degree)):
         np.testing.assert_array_equal(_bits(got), _bits(expected))
     for kind in (LAX_FRIEDRICHS, ENGQUIST_OSHER):
         other = make_numerical_flux(kind, mesh, flux, box=(-1.5, 1.5))
@@ -601,7 +602,7 @@ def test_separable_step_never_evaluates_f():
             state.tau = cfl_timestep(make_numerical_flux(kind, mesh, flux, box=box), 0.5)
             _, decomp = step(state, nf)
             for spec in (square_spec(), kruzkov_spec(0.0)):
-                entropy_report(nf, decomp, spec)
+                entropy_report(nf, decomp, [spec])
 
 
 def test_flux_without_face_restriction_rejected():
@@ -963,7 +964,8 @@ def test_entropy_fluxes_match_pointwise_formulas_bitwise(path, kind):
         G = t.entropy_average(spec.dU, w_star)
     else:
         G = _eo_entropy_sorted_partition(nf, spec.dU, a, b, S_a, S_b)
-    same(nf.smooth_fluxes(spec.U, spec.dU, decomp), (G, S_a, S_b))
+    # dU_degree None: the 24-point Phi_j of entropy_average
+    same(nf.smooth_fluxes(spec.U, spec.dU, decomp, None), (G, S_a, S_b))
 
 
 def _eo_entropy_sorted_partition(nf, dU, a, b, S_a, S_b):
@@ -1013,7 +1015,7 @@ def test_eo_entropy_flux_matches_segment_quadrature(path):
     quartic = EntropySpec(kind="smooth", name="quartic", U=lambda u: 0.25 * u ** 4,
                           dU=lambda u: u ** 3)
     for spec in (square_spec(), quartic):
-        G, S_a, _ = nf.smooth_fluxes(spec.U, spec.dU, decomp)
+        G, S_a, _ = nf.smooth_fluxes(spec.U, spec.dU, decomp, spec.dU_degree)
         reference = S_a + eo_entropy_integral(nf, spec.dU, decomp.u_left, decomp.u_right)
         assert np.abs(G - reference).max() <= 1e-14 * np.abs(reference).max()
 
@@ -1053,4 +1055,84 @@ def test_eo_step_takes_critical_values_from_the_table(monkeypatch):
         state.tau = cfl_timestep(nf, 0.5)
         _, decomp = step(state, nf)
         for spec in (square_spec(), kruzkov_spec(0.0)):
-            entropy_report(nf, decomp, spec)
+            entropy_report(nf, decomp, [spec])
+
+
+# ---------------------------------------------------------------------------
+# entropy-flux integrals Phi_j by the exact Gauss order
+# ---------------------------------------------------------------------------
+
+def _phi_24_points(term, dU, u):
+    """Phi_j(u) by the 24-point Gauss-Legendre rule, node by node in the
+    order of ``FaceFluxTable.separable_entropy``."""
+    x24, w24 = np.polynomial.legendre.leggauss(24)
+    half, mid = 0.5 * u, 0.5 * (u + 0.0)
+    total = np.zeros_like(u)
+    for x, weight in zip(x24, w24):
+        w = half * x
+        w += mid
+        value = dU(w) * term.g_u(w)
+        value *= weight
+        total += value
+    return half * total
+
+
+def test_term_degrees():
+    assert [t.degree for t in make_flux("solid_rotation").terms] == [1]
+    assert [t.degree for t in make_flux("latitude_burgers").terms] == [2]
+    for a in POTENTIALS:
+        assert {t.degree for t in make_flux("potential", {"a": a}).terms} == {None}
+
+
+@pytest.mark.parametrize("name, params", [
+    ("solid_rotation", {}), ("latitude_burgers", {"c_expr": "sin(theta)"})]
+    + [("potential", {"a": a}) for a in POTENTIALS],
+    ids=["rotation", "burgers"] + [f"potential-{i}" for i in range(len(POTENTIALS))])
+def test_exact_order_phi_matches_24_points(name, params):
+    # U = u^2/2 with a registry g of declared degree: p // 2 + 1 nodes
+    # integrate U' g' exactly, so Phi agrees with the 24-point rule to
+    # rounding; a split potential's terms, of unknown degree (sin(3*u) among
+    # them), keep the 24-point bits
+    mesh = build_latlon(8, 4, 0.3)
+    t = FaceFluxTable(mesh, make_flux(name, params), (-1.5, 1.5))
+    u = np.random.default_rng(57).uniform(-1.5, 1.5, 500)
+    u[:3] = [0.0, -0.0, 1e-3]
+    spec = square_spec()
+    exact = t.separable_entropy(spec.dU, u, spec.dU_degree)
+    for term, phi in zip(t.flux.terms, exact):
+        reference = _phi_24_points(term, spec.dU, u)
+        if term.degree is None:
+            assert np.array_equal(_bits(phi), _bits(reference))
+        else:
+            np.testing.assert_allclose(phi, reference, rtol=1e-15, atol=0.0)
+
+
+def test_entropy_of_unknown_degree_keeps_24_points():
+    # an entropy built from bare callables has no dU_degree: every Phi_j,
+    # S and the smooth entropy fluxes keep the 24-point bits
+    quartic = EntropySpec(kind="smooth", name="quartic", U=lambda u: 0.25 * u ** 4,
+                          dU=lambda u: u ** 3)
+    assert quartic.dU_degree is None and square_spec().dU_degree == 1
+    mesh = build_latlon(8, 4, 0.3)
+    flux = make_flux("latitude_burgers", {"c_expr": "sin(theta)"})
+    nf = make_numerical_flux(GODUNOV, mesh, flux, box=(-1.5, 1.5))
+    t = nf.table
+    u = np.random.default_rng(58).uniform(-1.5, 1.5, 200)
+    for term, phi in zip(t.flux.terms, t.separable_entropy(quartic.dU, u, quartic.dU_degree)):
+        assert np.array_equal(_bits(phi), _bits(_phi_24_points(term, quartic.dU, u)))
+    state = _initial(mesh)
+    state.tau = cfl_timestep(nf, 0.5)
+    _, decomp = step(state, nf)
+    got = nf.smooth_fluxes(quartic.U, quartic.dU, decomp, quartic.dU_degree)
+    S = [_terms_reference(t, quartic.dU, x) for x in (decomp.u_left, decomp.u_right)]
+    for g, e in zip(got[1:], S):
+        assert np.array_equal(_bits(g), _bits(e))
+
+
+def _terms_reference(t, dU, x):
+    """sum_j D_ej Phi_j(x) with 24-point Phi_j, terms added in order."""
+    total = None
+    for j, term in enumerate(t.flux.terms):
+        value = _phi_24_points(term, dU, x) * t.D[:, j]
+        total = value if total is None else total + value
+    return total
