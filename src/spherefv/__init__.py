@@ -15,17 +15,10 @@ from .geometry import (
     Chart,
     SphereFrame,
     VectorField,
-    christoffel,
-    divergence,
-    embedded_to_intrinsic,
-    euclidean_chart,
     frame,
-    gradient,
     inner,
     intrinsic_to_embedded,
-    laplace_beltrami,
     lie_bracket,
-    metric_lie_derivative,
     norm,
     sphere_chart,
 )
@@ -43,7 +36,6 @@ from .mesh import (
     build_latlon,
     cell_averages,
     export_vtk,
-    face_average_normal_flux,
     mesh_info,
 )
 from .fvm import (
@@ -66,8 +58,6 @@ from .diagnostics import (
     DiagnosticsRecord,
     EntropySpec,
     Monitor,
-    TVReport,
-    check_tv_diminishing,
     discrete_tv_x,
     entropy_report,
     kruzkov_spec,

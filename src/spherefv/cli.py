@@ -30,7 +30,7 @@ from . import diagnostics as dg
 from . import flux as fluxmod
 from . import fvm, geometry
 from . import mesh as meshmod
-from .errors import ConfigError, SphereFVError
+from .errors import ConfigError, SphereFVError, finite_real
 from .expressions import compile_expression
 
 INITIAL_PRESETS = {
@@ -84,19 +84,6 @@ def _integer(value, key: str) -> int:
     return int(value)
 
 
-def _real(value, key: str, what: str = "a finite real number") -> float:
-    """A finite real config value (an int or a float, never a bool)."""
-    number = math.nan
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            number = float(value)
-        except OverflowError:           # an integer beyond the float range
-            pass
-    if not math.isfinite(number):
-        raise ConfigError(f"{key} must be {what}, got {value!r}")
-    return number
-
-
 def _list(value, key: str) -> list:
     if not isinstance(value, list):
         raise ConfigError(f"{key} must be a list, got {value!r}")
@@ -117,6 +104,19 @@ def _entropy_spec(name) -> dg.EntropySpec:
             raise ConfigError(f"Kruzkov parameter must be finite in entropy {name!r}")
         return dg.kruzkov_spec(k)
     raise ConfigError(f"unknown entropy {name!r}; use 'square' or 'kruzkov:<k>'")
+
+
+def _entropy_specs(names) -> list:
+    """The entropies to monitor, each once: an entry with the name or the
+    Kruzkov k (0 and -0 alike) of an earlier one is refused, as it would
+    repeat a diag.csv column and a report.json key."""
+    specs = []
+    for name in _list(names, "diagnostics.entropies"):
+        spec = _entropy_spec(name)
+        if any(s.name == spec.name or (s.k is not None and s.k == spec.k) for s in specs):
+            raise ConfigError(f"diagnostics.entropies repeats an entropy: {name!r}")
+        specs.append(spec)
+    return specs
 
 
 def load_config(path: str) -> ScenarioConfig:
@@ -150,7 +150,7 @@ def load_config(path: str) -> ScenarioConfig:
         raise ConfigError("initial must provide 'expression' or 'name'")
     compile_expression(expr, ["phi", "theta", "n1", "n2", "n3"])   # early validation
 
-    safety = _real(nf_cfg.get("safety", 0.5), "numerical_flux.safety")
+    safety = finite_real(nf_cfg.get("safety", 0.5), "numerical_flux.safety")
     if not (0.0 < safety < 1.0):
         raise ConfigError(f"numerical_flux.safety must lie in (0, 1), got {safety}")
     kind = str(nf_cfg.get("kind", fvm.GODUNOV))
@@ -158,7 +158,7 @@ def load_config(path: str) -> ScenarioConfig:
         raise ConfigError(f"unknown numerical flux kind {kind!r}; "
                           f"choose from {fvm.FLUX_KINDS}")
 
-    T = _real(_require(raw, "T", "config"), "T", "a finite non-negative time")
+    T = finite_real(_require(raw, "T", "config"), "T", "a finite non-negative time")
     if T < 0.0:
         raise ConfigError(f"T must be a finite non-negative time, got {T}")
 
@@ -171,7 +171,7 @@ def load_config(path: str) -> ScenarioConfig:
     cfg = ScenarioConfig(
         n_phi=_integer(_require(mesh_cfg, "n_phi", "mesh"), "mesh.n_phi"),
         n_theta=_integer(_require(mesh_cfg, "n_theta", "mesh"), "mesh.n_theta"),
-        theta_min=_real(_require(mesh_cfg, "theta_min", "mesh"), "mesh.theta_min"),
+        theta_min=finite_real(_require(mesh_cfg, "theta_min", "mesh"), "mesh.theta_min"),
         flux_name=str(_require(flux_cfg, "name", "flux")),
         flux_params=dict(_section(flux_cfg, "params", "flux", required=False)),
         nf_kind=kind,
@@ -179,8 +179,7 @@ def load_config(path: str) -> ScenarioConfig:
         initial_expr=expr,
         T=T,
         tv_fields=tv_fields,
-        entropies=[_entropy_spec(e) for e in _list(diag_cfg.get("entropies", []),
-                                                    "diagnostics.entropies")],
+        entropies=_entropy_specs(diag_cfg.get("entropies", [])),
         csv_name=str(out_cfg.get("csv", "diag.csv")),
         vtk_prefix=str(out_cfg.get("vtk", "state")),
         vtk_cadence=_integer(out_cfg.get("vtk_cadence", 0), "outputs.vtk_cadence"),
@@ -391,7 +390,7 @@ def convergence_study(cfg: ScenarioConfig, levels: int, out_dir: str,
     if cfg.flux_name != "solid_rotation":
         raise ConfigError("convergence reference requires the solid_rotation "
                           "flux (exact solution by rotation)")
-    omega = float(cfg.flux_params.get("omega", 1.0))
+    omega = finite_real(cfg.flux_params.get("omega", 1.0), "flux.params.omega")
     reference = initial_function(cfg, phase=omega * cfg.T)
 
     rows = []

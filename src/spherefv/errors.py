@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one rule by which a
+configuration value is read as a finite real number."""
+
+import math
 
 
 class SphereFVError(Exception):
@@ -23,6 +26,20 @@ class DegenerateSampleError(SphereFVError):
 
 class ConfigError(SphereFVError):
     """Invalid configuration (mesh parameters, scenario file, registry lookup)."""
+
+
+def finite_real(value, key: str, what: str = "a finite real number") -> float:
+    """A finite real config value (an int or a float, never a bool); anything
+    else is a ``ConfigError`` that names ``key``."""
+    number = math.nan
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:           # an integer beyond the float range
+            pass
+    if not math.isfinite(number):
+        raise ConfigError(f"{key} must be {what}, got {value!r}")
+    return number
 
 
 class InputError(SphereFVError):

@@ -23,16 +23,18 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import geometry
-from .errors import ConfigError, DegenerateSampleError
+from .errors import ConfigError, DegenerateSampleError, finite_real
 from .expressions import (compile_expression, compile_node, differentiate, parse_expression,
                           split_terms)
 
-_FD_STEP = 1e-3
 _NORMAL = ("n1", "n2", "n3")
+_TVD_TOLERANCE = 1e-6    # the largest residual a compatible (f, X) pair may show
 
 
-def _stencil(shifted: Callable, step: float = _FD_STEP):
-    """4th-order centered derivative at d = 0 of ``shifted(d)``."""
+def _stencil(shifted: Callable):
+    """4th-order centered derivative at d = 0 of ``shifted(d)``, step
+    ``geometry.FD_STEP``."""
+    step = geometry.FD_STEP
     return (-shifted(2 * step) + 8 * shifted(step)
             - 8 * shifted(-step) + shifted(-2 * step)) / (12 * step)
 
@@ -79,27 +81,27 @@ class FluxField:
         """The frozen-state wave-speed field x -> f_u(u, x)."""
         return geometry.VectorField(components=lambda y: self.f_u(u, y[0], y[1]))
 
-    def lipschitz_on(self, u_min: float, u_max: float, n_u: int = 33,
-                     n_theta: int = 65) -> float:
-        """Sampled sup of |f_u|_g over a state interval and a theta sweep."""
-        us = np.linspace(u_min, u_max, n_u)[None, :, None]
-        thetas = np.linspace(1e-3, math.pi - 1e-3, n_theta)
+    def lipschitz_on(self, u_min: float, u_max: float) -> float:
+        """Sampled sup of |f_u|_g over 33 states of an interval, 65 colatitudes
+        and 17 longitudes."""
+        us = np.linspace(u_min, u_max, 33)[None, :, None]
+        thetas = np.linspace(1e-3, math.pi - 1e-3, 65)
         phis = np.linspace(0.0, 2 * math.pi, 17)[:, None, None]
         comp = self.f_u(us, phis, thetas)
         return float(np.sqrt((np.sin(thetas) * comp[0]) ** 2 + comp[1] ** 2).max())
 
 
-def divfree_residual(f: FluxField, u: float, sample, step: float = _FD_STEP) -> float:
+def divfree_residual(f: FluxField, u: float, sample) -> float:
     """|d_phi(f^phi sin theta) + d_theta(f^theta sin theta)| at frozen u.
 
     Zero for divergence-free fluxes (the sin-theta weighted form of the
     divergence, without the 1/sin-theta prefactor)."""
     phi, theta = float(sample[0]), float(sample[1])
-    if not (geometry.DEFAULT_POLE_BAND <= theta <= math.pi - geometry.DEFAULT_POLE_BAND):
+    if not (geometry.POLE_BAND <= theta <= math.pi - geometry.POLE_BAND):
         raise geometry.PoleError(f"divergence residual undefined at theta = {theta}")
 
-    d_phi = _stencil(lambda d: f.f(u, phi + d, theta)[0] * math.sin(theta), step)
-    d_theta = _stencil(lambda d: f.f(u, phi, theta + d)[1] * np.sin(theta + d), step)
+    d_phi = _stencil(lambda d: f.f(u, phi + d, theta)[0] * math.sin(theta))
+    d_theta = _stencil(lambda d: f.f(u, phi, theta + d)[1] * np.sin(theta + d))
     return float(abs(d_phi + d_theta))
 
 
@@ -213,7 +215,8 @@ class TVDReport:
     ``bracket_residual``: sup |[f_u, X]|_g; ``colinearity_residual``: sup over
     states of |X x f_u - Ctilde(u) n| with Ctilde(u) the per-state best-fit
     normal component (constant across points); ``c_along_x_residual``:
-    sup |X(C)| for C = g(f_u, X)/g(X, X)."""
+    sup |X(C)| for C = g(f_u, X)/g(X, X).  The pair is compatible when all
+    three are at most ``tolerance``."""
 
     bracket_residual: float
     colinearity_residual: float
@@ -227,11 +230,10 @@ class TVDReport:
 
 
 def tvd_compatibility(f: FluxField, X: geometry.VectorField,
-                      u_samples: Sequence[float], points: Sequence,
-                      tolerance: float = 1e-6,
-                      chart: Optional[geometry.Chart] = None) -> TVDReport:
-    """Check whether the pair (f, X) supports a total variation bound along X."""
-    chart = chart if chart is not None else geometry.sphere_chart()
+                      u_samples: Sequence[float], points: Sequence) -> TVDReport:
+    """Check whether the pair (f, X) supports a total variation bound along X,
+    in the sphere chart, at the states ``u_samples`` and the ``points``."""
+    chart = geometry.sphere_chart()
     pts = [np.asarray(p, dtype=float) for p in points]
     for p in pts:
         chart.check_interior(p)
@@ -271,13 +273,13 @@ def tvd_compatibility(f: FluxField, X: geometry.VectorField,
         for p in pts:
             along_res = max(along_res, abs(geometry.directional_derivative(chart, X, C, p)))
 
-    ok = max(bracket_res, colin_res, along_res) <= tolerance
+    ok = max(bracket_res, colin_res, along_res) <= _TVD_TOLERANCE
     return TVDReport(
         bracket_residual=bracket_res,
         colinearity_residual=colin_res,
         c_along_x_residual=along_res,
         verdict="compatible" if ok else "incompatible",
-        tolerance=tolerance,
+        tolerance=_TVD_TOLERANCE,
     )
 
 
@@ -293,7 +295,7 @@ def make_flux(name: str, params: Optional[dict] = None) -> FluxField:
     the fields n x grad a and n x grad a_u.  Every gradient is exact."""
     params = dict(params or {})
     if name == "solid_rotation":
-        omega = float(params.pop("omega", 1.0))
+        omega = finite_real(params.pop("omega", 1.0), "flux.params.omega")
         if params:
             raise ConfigError(f"unknown solid_rotation parameters: {sorted(params)}")
 

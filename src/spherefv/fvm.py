@@ -276,13 +276,9 @@ class FaceFluxTable:
 
     def entropy_average(self, dU: Callable, u):
         """Face average of the entropy flux: integral of U'(w) s_e'(w) dw from
-        0 to ``u`` by the 24-point Gauss-Legendre rule, per face; with terms,
-        sum_j D_ej Phi_j(u) (:meth:`separable_entropy`, U' of unknown degree)."""
-        u = np.asarray(u, dtype=float)
-        if u.ndim == 0:
-            u = np.full(self.n_faces, float(u))
-        if self.D is not None:
-            return _terms_sum(self.D, self.separable_entropy(dU, u, None))
+        0 to ``u`` by the 24-point Gauss-Legendre rule, at one state per face
+        (an (F,) array).  The vertex path's S; a table with terms forms S
+        from the Phi_j of :meth:`separable_entropy` instead."""
         x, weights = _gauss_legendre(_GL_MAX)
         half = 0.5 * u
         mid = 0.5 * (u + 0.0)       # the midpoint of [0, u], +0.0 at u = -0.0
@@ -506,15 +502,16 @@ class NumericalFlux:
 
     def smooth_fluxes(self, U: Callable, dU: Callable, decomp: "ConvexDecomposition",
                       dU_degree: Optional[int]) -> tuple:
-        """Smooth convex U, with S = :meth:`FaceFluxTable.entropy_average`:
+        """Smooth convex U, with S the face average of the entropy flux:
         LF: central form with lambda dissipation; Godunov: S(w*), selected by
         the step's winning candidate ``decomp.pick``; EO:
         1/2 (S(a)+S(b)) - 1/2 sgn(b-a) sum sgn(Delta s) Delta S (see
         :meth:`_variation`).  S at a critical point is taken only where the
-        flux needs it; with terms, each Phi_j once per cell state and such
-        critical point, by the Gauss order that ``dU_degree`` (the degree of
-        U' as a polynomial, None when unknown) makes exact
-        (:meth:`FaceFluxTable.separable_entropy`)."""
+        flux needs it.  With terms, S = sum_j D_ej Phi_j, each Phi_j once per
+        cell state and such critical point, by the Gauss order that
+        ``dU_degree`` (the degree of U' as a polynomial, None when unknown)
+        makes exact (:meth:`FaceFluxTable.separable_entropy`); on the vertex
+        path S is :meth:`FaceFluxTable.entropy_average`."""
         t = self.table
         mesh = decomp.mesh
         a, b = decomp.u_left, decomp.u_right

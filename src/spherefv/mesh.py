@@ -268,22 +268,6 @@ def build_latlon(n_phi: int, n_theta: int, theta_min: float) -> SphereMesh:
     )
 
 
-def face_average_normal_flux(mesh: SphereMesh, face_id: int, side_cell: int,
-                             flux, u: float) -> float:
-    """(1/|e|) integral of g(f(u, x), n_{e,K}(x)) over the face, seen from
-    ``side_cell`` (the normal points out of that cell)."""
-    if side_cell == mesh.face_left[face_id]:
-        sign = 1.0
-    elif side_cell == mesh.face_right[face_id]:
-        sign = -1.0
-    else:
-        raise ConfigError(f"cell {side_cell} is not adjacent to face {face_id}")
-    comp = np.asarray(flux.f(u, mesh.face_q_phi[face_id], mesh.face_q_theta[face_id]),
-                      dtype=float)
-    integrand = mesh.normal_component(comp, face_id)
-    return float(sign * np.dot(mesh.face_q_w[face_id], integrand) / mesh.face_measure[face_id])
-
-
 @dataclass(frozen=True)
 class MeshInfo:
     n_cells: int

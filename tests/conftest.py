@@ -5,10 +5,11 @@ import pytest
 
 from spherefv import (
     build_latlon,
-    euclidean_chart,
     make_flux,
     sphere_chart,
 )
+
+from identities import euclidean_chart
 
 
 @pytest.fixture(scope="session")
@@ -18,7 +19,7 @@ def sphere():
 
 @pytest.fixture(scope="session")
 def plane():
-    return euclidean_chart(2)
+    return euclidean_chart()
 
 
 @pytest.fixture(scope="session")

@@ -1,12 +1,22 @@
-"""Shared helpers: smooth random test data on the sphere, the residuals of
-the divergence/Lie-derivative chain-rule identities used by both the geometry
-unit tests and the acceptance suite, the node-average quadrature oracle for
-the solver's face tables, the per-segment quadrature oracle for the
-Engquist-Osher entropy flux, cross-product fluxes f = n x Phi, which
-carry no face restriction for the solver, the finite-difference potential
-fluxes, oracles of the exact ones, the pointwise entropy pairs, with
-adaptive quadrature, and the general forms of the solver's per-cell sum and
-Godunov selection, oracles of their bits."""
+"""Shared helpers and oracles of the tests.
+
+- The classical operators of Riemannian geometry, by finite differences on a
+  :class:`spherefv.geometry.Chart`: Christoffel symbols, the divergence in
+  its weighted and trace forms, the gradient and the Lie derivative of the
+  metric, with a flat chart; the package itself keeps only what
+  ``check-flux`` reads (directional derivative, Lie bracket, frame).
+- Smooth random test data on the sphere, state-dependent fields f(u, x)
+  (:class:`StateField`), and the residuals of the divergence/Lie-derivative
+  chain-rule identities used by both the geometry unit tests and the
+  acceptance suite.
+- The node-average quadrature oracle for the solver's face tables, the
+  24-point entropy-flux average S of any table, and the per-segment
+  quadrature oracle for the Engquist-Osher entropy flux.
+- Cross-product fluxes f = n x Phi, which carry no face restriction for the
+  solver, the finite-difference potential fluxes, oracles of the exact ones,
+  and the pointwise entropy pairs, with adaptive quadrature.
+- The general forms of the solver's per-cell sum and Godunov selection,
+  oracles of their bits."""
 
 import math
 from dataclasses import dataclass
@@ -18,9 +28,90 @@ from scipy.integrate import quad_vec
 
 from spherefv import fvm, geometry
 from spherefv.errors import InputError
-from spherefv.flux import (_FD_STEP, FluxField, _cross_components, _lift, _sphere_normals,
-                           _stencil)
-from spherefv.geometry import VectorField, fd_gradient
+from spherefv.flux import FluxField, _cross_components, _lift, _sphere_normals, _stencil
+from spherefv.geometry import Chart, VectorField, fd_gradient, fd_partial
+
+
+# ---------------------------------------------------------------------------
+# differential operators on a chart
+# ---------------------------------------------------------------------------
+
+def euclidean_chart() -> Chart:
+    """Flat chart of the plane with the identity metric (regression baseline)."""
+    eye = np.eye(2)
+    return Chart(dim=2, metric=lambda x: eye.copy(), metric_inverse=lambda x: eye.copy(),
+                 sqrt_det=lambda x: 1.0, metric_derivative=lambda x: np.zeros((2, 2, 2)))
+
+
+def christoffel(chart: Chart, x) -> np.ndarray:
+    """Christoffel symbols Gamma[j, k, l] = Gamma^j_{kl} of the chart metric."""
+    x = chart.check_interior(x)
+    dg = np.asarray(chart.metric_derivative(x), dtype=float)   # dg[k, i, j] = d_k g_ij
+    ginv = np.asarray(chart.metric_inverse(x), dtype=float)
+    # Gamma^j_{kl} = 1/2 g^{ji} (d_k g_{li} + d_l g_{ki} - d_i g_{kl});
+    # assemble the parenthesis as an array indexed (k, l, i)
+    bracket = (dg                                  # dg[k, l, i] = d_k g_{li}
+               + np.transpose(dg, (1, 0, 2))       # d_l g_{ki}
+               - np.transpose(dg, (1, 2, 0)))      # d_i g_{kl}
+    return 0.5 * np.einsum("ji,kli->jkl", ginv, bracket)
+
+
+def divergence(chart: Chart, field: VectorField, x, method: str = "weighted") -> float:
+    """Divergence of a vector field at x.
+
+    ``method="weighted"`` uses |g|^{-1/2} d_i(|g|^{1/2} f^i);
+    ``method="trace"`` uses d_i f^i + Gamma^k_{ki} f^i (trace of the covariant
+    derivative).  The two agree to finite-difference accuracy.
+    """
+    x = chart.check_interior(x)
+    if method == "weighted":
+        def weighted(y):
+            return chart.sqrt_det(y) * field.at(y)
+
+        total = 0.0
+        for i in range(chart.dim):
+            total += fd_partial(lambda y: weighted(y)[i], x, i)
+        return float(total / chart.sqrt_det(x))
+    if method == "trace":
+        total = 0.0
+        for i in range(chart.dim):
+            total += fd_partial(lambda y: field.at(y)[i], x, i)
+        # trace Gamma^k_{ki} f^i
+        total += float(np.einsum("kki,i->", christoffel(chart, x), field.at(x)))
+        return float(total)
+    raise ValueError(f"unknown divergence method {method!r}")
+
+
+def gradient(chart: Chart, u: Callable, x) -> np.ndarray:
+    """Contravariant gradient (nabla u)^i = g^{ij} d_j u."""
+    x = chart.check_interior(x)
+    return np.asarray(chart.metric_inverse(x), dtype=float) @ fd_gradient(u, x)
+
+
+def metric_lie_derivative(chart: Chart, X: VectorField, x) -> np.ndarray:
+    """(Lie_X g)_{jl} = X^k d_k g_{jl} + g_{kl} d_j X^k + g_{jk} d_l X^k."""
+    x = chart.check_interior(x)
+    g = np.asarray(chart.metric(x), dtype=float)
+    dg = np.asarray(chart.metric_derivative(x), dtype=float)          # dg[k, j, l]
+    dX = np.array([fd_partial(X.at, x, j) for j in range(chart.dim)])  # dX[j, k] = d_j X^k
+    return np.einsum("k,kjl->jl", X.at(x), dg) + dX @ g + (dX @ g).T
+
+
+@dataclass(frozen=True)
+class StateField:
+    """State-dependent vector field f(u, x) in chart components:
+    ``components(u, x)``, with its derivative in u ``u_derivative(u, x)``."""
+
+    components: Callable
+    u_derivative: Callable
+
+    def at(self, x, u) -> np.ndarray:
+        return np.asarray(self.components(u, x), dtype=float)
+
+    def frozen(self, u) -> VectorField:
+        """The spatial field x -> f(u, x) at a frozen state."""
+        comp = self.components
+        return VectorField(lambda x: comp(u, x))
 
 
 class NodeAverageTable(fvm.FaceFluxTable):
@@ -64,6 +155,17 @@ class NodeAverageTable(fvm.FaceFluxTable):
 
 
 _GL_X, _GL_W = leggauss(24)
+
+
+def entropy_average(t, dU, u):
+    """The face average S of the entropy flux at one state per face, by the
+    24-point rule: ``FaceFluxTable.entropy_average`` on the vertex path, and
+    on a table with terms sum_j D_ej Phi_j(u) with the 24-point Phi_j of
+    ``separable_entropy`` (U' of unknown degree), whose bits
+    ``NumericalFlux.smooth_fluxes`` gives such a U'."""
+    if t.D is None:
+        return t.entropy_average(dU, u)
+    return fvm._terms_sum(t.D, t.separable_entropy(dU, np.asarray(u, dtype=float), None))
 
 
 def eo_entropy_integral(nf, dU, a, b):
@@ -135,22 +237,22 @@ def cross_flux(phi_vec: Callable, name: str = "cross") -> FluxField:
     return FluxField(name=name, f=f, f_u=f_u)
 
 
-def _tangential_gradient(a: Callable, u, n, step: float):
+def _tangential_gradient(a: Callable, u, n):
     """Tangential part of the ambient gradient of a(u, .) at the unit normals
     ``n``; shape (3,) + broadcast, ``u`` included (a_u may not depend on u)."""
     n = _lift(n, np.ndim(u) + 1)
     axes = np.eye(3).reshape((3, 3) + (1,) * (n.ndim - 1))
     grad = np.stack(np.broadcast_arrays(
-        *[_stencil(lambda d, e=e: a(u, *(n + d * e)), step) for e in axes], u)[:3])
+        *[_stencil(lambda d, e=e: a(u, *(n + d * e))) for e in axes], u)[:3])
     return grad - np.sum(grad * n, axis=0) * n
 
 
-def tangential_potential_gradient(a: Callable, u, phi, theta, step: float = _FD_STEP):
+def tangential_potential_gradient(a: Callable, u, phi, theta):
     """Phi = tangential gradient of a(u, .) at n(phi, theta); shape (3,) + broadcast."""
-    return _tangential_gradient(a, u, _sphere_normals(phi, theta)[0], step)
+    return _tangential_gradient(a, u, _sphere_normals(phi, theta)[0])
 
 
-def from_potential(a: Callable, name: str = "potential", step: float = _FD_STEP,
+def from_potential(a: Callable, name: str = "potential",
                    a_u: Optional[Callable] = None) -> FluxField:
     """Flux f = n x Phi with Phi the tangential gradient of a(u, n).
 
@@ -168,7 +270,7 @@ def from_potential(a: Callable, name: str = "potential", step: float = _FD_STEP,
     def cross_gradient(pot):
         def field(u, phi, theta):
             n, n_phi, n_theta = _sphere_normals(phi, theta)
-            return _cross_components(_tangential_gradient(pot, u, n, step), n_phi, n_theta)
+            return _cross_components(_tangential_gradient(pot, u, n), n_phi, n_theta)
         return field
 
     return FluxField(name=name, f=cross_gradient(a), f_u=cross_gradient(a_u),
@@ -289,7 +391,7 @@ def smooth_flux_field(u_coeffs, space_coeffs):
     def comp_u(u, x):
         return (p1 + 2.0 * p2 * u) * V.at(x)
 
-    return VectorField(comp, is_u_dependent=True, u_derivative=comp_u)
+    return StateField(comp, comp_u)
 
 
 def random_config(rng):
@@ -310,10 +412,10 @@ def composite_field(f, u):
 
 def divergence_chain_residual(chart, u, f, x):
     """|div(f(u(x),x)) - du(f_u) - (div f)(u, x)|."""
-    lhs = geometry.divergence(chart, composite_field(f, u), x)
-    du = fd_gradient(u, x, chart.fd_step)
+    lhs = divergence(chart, composite_field(f, u), x)
+    du = fd_gradient(u, x)
     fu = np.asarray(f.u_derivative(u(x), x), dtype=float)
-    rhs = float(du @ fu) + geometry.divergence(chart, f.frozen(u(x)), x)
+    rhs = float(du @ fu) + divergence(chart, f.frozen(u(x)), x)
     return abs(lhs - rhs)
 
 
@@ -338,17 +440,17 @@ def scalar_chain_residual(chart, u, X, h, h_u, x):
 
 def gradient_commutator_residual(chart, u, X, Z, x):
     """|g(Lie_X grad u - grad(X(u)), Z) + (Lie_X g)(grad u, Z)|."""
-    grad_field = VectorField(lambda y: geometry.gradient(chart, u, y))
+    grad_field = VectorField(lambda y: gradient(chart, u, y))
     lie_grad = geometry.lie_bracket(chart, X, grad_field, x)
 
     def Xu_scalar(y):
-        return float(X.at(y) @ fd_gradient(u, y, chart.fd_step))
+        return float(X.at(y) @ fd_gradient(u, y))
 
-    grad_Xu = geometry.gradient(chart, Xu_scalar, x)
+    grad_Xu = gradient(chart, Xu_scalar, x)
     Z0 = Z.at(x)
     lhs = geometry.inner(chart, x, lie_grad - grad_Xu, Z0)
-    lie_g = geometry.metric_lie_derivative(chart, X, x)
-    grad_u = geometry.gradient(chart, u, x)
+    lie_g = metric_lie_derivative(chart, X, x)
+    grad_u = gradient(chart, u, x)
     return abs(lhs + float(grad_u @ lie_g @ Z0))
 
 
@@ -359,24 +461,24 @@ def main_identity_residual(chart, u, f, X, x):
                         + X((div f)(u, .))(x).
     """
     def div_composite(y):
-        return geometry.divergence(chart, composite_field(f, u), y)
+        return divergence(chart, composite_field(f, u), y)
 
     lhs = geometry.directional_derivative(chart, X, div_composite, x)
 
     def Xu_fu(y):
-        Xu = float(X.at(y) @ fd_gradient(u, y, chart.fd_step))
+        Xu = float(X.at(y) @ fd_gradient(u, y))
         return Xu * np.asarray(f.u_derivative(u(y), y), dtype=float)
 
-    term1 = geometry.divergence(chart, VectorField(Xu_fu), x)
+    term1 = divergence(chart, VectorField(Xu_fu), x)
 
     u0 = u(x)
     fu_frozen = VectorField(lambda y, _u=u0: np.asarray(f.u_derivative(_u, y)))
     lie_fu = geometry.lie_bracket(chart, X, fu_frozen, x)
-    grad_u = geometry.gradient(chart, u, x)
+    grad_u = gradient(chart, u, x)
     term2 = geometry.inner(chart, x, grad_u, lie_fu)
 
     def div_frozen(y):
-        return geometry.divergence(chart, f.frozen(u0), y)
+        return divergence(chart, f.frozen(u0), y)
 
     term3 = geometry.directional_derivative(chart, X, div_frozen, x)
     return abs(lhs - (term1 + term2 + term3))

@@ -119,6 +119,47 @@ def test_mistyped_config_value_exit_2(tmp_path, capsys, section, key, value, mes
     assert not out.exists()
 
 
+@pytest.mark.parametrize("omega", ['"x"', "null", "[1]", "true", '"nan"', "1e999"],
+                         ids=["string", "null", "list", "bool", "nan-string", "overflow"])
+@pytest.mark.parametrize("command", ["run", "converge"])
+def test_registry_parameter_not_a_finite_real_exit_2(tmp_path, capsys, command, omega):
+    # a registry parameter takes the config's finite-real rule: exit 2 naming
+    # flux.params.omega, no traceback, no output directory (1e999 reads as inf)
+    text = json.dumps({**json.loads(open(_write_config(tmp_path / "base.json")).read()),
+                       "flux": {"name": "solid_rotation", "params": {"omega": "OMEGA"}}})
+    path = tmp_path / "c.json"
+    path.write_text(text.replace('"OMEGA"', omega))
+    out = tmp_path / "out"
+    assert main([command, str(path), "--out-dir", str(out), "--levels", "2"]) == 2
+    assert "flux.params.omega must be a finite real number" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_converge_reads_omega_by_the_finite_real_rule(tmp_path):
+    path = _write_config(tmp_path / "c.json",
+                         flux={"name": "solid_rotation", "params": {"omega": 1.0}},
+                         initial={"name": "equatorial_bump"}, T=0.5)
+    cfg = load_config(path)
+    cfg.flux_params["omega"] = "1"
+    with pytest.raises(ConfigError, match="flux.params.omega"):
+        convergence_study(cfg, 2, str(tmp_path / "out"))
+
+
+@pytest.mark.parametrize("entropies", [["kruzkov:0", "kruzkov:0.0", "square"],
+                                       ["kruzkov:0", "kruzkov:-0"],
+                                       ["square", "square"]],
+                         ids=["same-name", "signed-zero-k", "square-twice"])
+def test_repeated_entropy_exit_2(tmp_path, capsys, entropies):
+    # one entropy listed twice would write two equal diag.csv columns and
+    # keep one report.json record: refused when the config is read
+    cfg = _write_config(tmp_path / "c.json",
+                        diagnostics={"tv_fields": [], "entropies": entropies})
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out-dir", str(out)]) == 2
+    assert "diagnostics.entropies repeats an entropy" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_integral_float_mesh_size_accepted(tmp_path):
     cfg = _write_config(tmp_path / "c.json",
                         mesh={"n_phi": 8.0, "n_theta": 4, "theta_min": 0.3})
@@ -149,6 +190,20 @@ def test_oracle_command(tmp_path):
     assert main(["oracle", cfg, "--out-dir", str(out)]) == 0
     report = json.loads((out / "report.json").read_text())
     assert report["max_discrepancy"] <= 1e-12
+
+
+def test_oracle_threads_bit_identical(tmp_path):
+    # the threaded step on a pool against the serial 1D oracle: the same report
+    cfg = _write_config(tmp_path / "c.json",
+                        mesh={"n_phi": 24, "n_theta": 12, "theta_min": 0.3},
+                        numerical_flux={"kind": "engquist_osher", "safety": 0.5})
+    reports = []
+    for threads in ("1", "2", "4"):
+        out = tmp_path / f"t{threads}"
+        assert main(["oracle", cfg, "--out-dir", str(out), "--threads", threads]) == 0
+        reports.append((out / "report.json").read_bytes())
+    assert reports[1] == reports[0] and reports[2] == reports[0]
+    assert json.loads(reports[0])["max_discrepancy"] == 0.0
 
 
 def test_oracle_refuses_non_decoupled_flux(tmp_path):

@@ -1,5 +1,6 @@
 import math
-from dataclasses import replace
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from spherefv import (
     VectorField,
     build_latlon,
     cfl_timestep,
-    check_tv_diminishing,
     discrete_tv_x,
     entropy_report,
     init_state,
@@ -99,6 +99,48 @@ def test_tv_invariances(small_mesh):
                                                      rel=1e-12)
     const = SolverState(mesh=small_mesh, u=np.full(small_mesh.n_cells, 0.8))
     assert discrete_tv_x(const, X) == 0.0
+
+
+@dataclass(frozen=True)
+class TVReport:
+    """Evolution of TV_X over a trajectory.
+
+    For compatible (flux, X) pairs any step increase beyond the relative
+    tolerance is flagged.  For incompatible pairs the report carries the
+    measured growth-budget terms instead (never asserted)."""
+
+    tv_series: tuple
+    max_relative_increase: float
+    violating_steps: tuple
+    compatible: bool
+    bracket_sup: Optional[float] = None
+    tv_time_integral: Optional[float] = None
+    budget: Optional[float] = None
+
+
+def check_tv_diminishing(tv_series: Sequence[float], tau: float,
+                         compatible: bool, rel_tol: float = 1e-10,
+                         bracket_sup: Optional[float] = None,
+                         x_div_l1: float = 0.0) -> TVReport:
+    """Analyze a recorded TV_X time series (one entry per step)."""
+    tv = np.asarray(tv_series, dtype=float)
+    scale = max(1.0, float(tv.max(initial=0.0)))
+    increases = np.diff(tv)
+    rel = increases / scale
+    violating = tuple(int(i) + 1 for i in np.flatnonzero(rel > rel_tol))
+    max_rel = float(rel.max()) if rel.size else 0.0
+    budget = None
+    tv_int = None
+    if not compatible and bracket_sup is not None:
+        tv_int = float(np.sum(tv[:-1]) * tau) if tv.size > 1 else 0.0
+        budget = bracket_sup * tv_int + x_div_l1
+    return TVReport(tv_series=tuple(float(v) for v in tv),
+                    max_relative_increase=max_rel,
+                    violating_steps=violating,
+                    compatible=compatible,
+                    bracket_sup=bracket_sup,
+                    tv_time_integral=tv_int,
+                    budget=budget)
 
 
 def test_tv_diminishing_over_trajectory():

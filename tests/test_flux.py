@@ -16,8 +16,8 @@ from spherefv import (
 from spherefv import geometry
 
 from conftest import random_points
-from identities import (cross_flux, embedded_flux, entropy_flux, from_potential, kruzkov_pair,
-                        tangential_potential_gradient)
+from identities import (cross_flux, divergence, embedded_flux, entropy_flux, from_potential,
+                        kruzkov_pair, tangential_potential_gradient)
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +273,7 @@ def test_potential_flux_entropy_conservation():
         for ubar in (-0.5, 0.8):
             frozen = VectorField(
                 lambda y, _u=ubar: np.asarray(pair.F(_u, y[0], y[1])).reshape(2))
-            assert abs(geometry.divergence(sphere, frozen, p)) <= 1e-5
+            assert abs(divergence(sphere, frozen, p)) <= 1e-5
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,8 @@ from spherefv import fvm
 from spherefv.fvm import FaceFluxTable, NumericalFlux
 from spherefv.mesh import MERIDIAN
 
-from identities import NodeAverageTable, cross_flux, eo_entropy_integral, where_godunov_state
+from identities import (NodeAverageTable, cross_flux, entropy_average, eo_entropy_integral,
+                        where_godunov_state)
 
 
 def _setup(kind=GODUNOV, n_phi=8, n_theta=4, flux_name="latitude_burgers",
@@ -539,7 +540,7 @@ def test_separable_path_matches_generic(name, params, n_phi, n_theta):
         assert np.abs(fast.s(table_u) - slow.s(table_u)).max() <= tol
         assert np.abs(fast.sp(table_u) - slow.sp(table_u)).max() <= tol
     assert np.abs(fast.speed - slow.speed).max() <= tol
-    assert np.abs(fast.entropy_average(dU, u) - slow.entropy_average(dU, u)).max() <= tol
+    assert np.abs(entropy_average(fast, dU, u) - entropy_average(slow, dU, u)).max() <= tol
 
     # every critical point of the oracle's scan is found on the fast path
     found = ~np.isnan(slow.crit)
@@ -952,7 +953,7 @@ def test_entropy_fluxes_match_pointwise_formulas_bitwise(path, kind):
         assert np.any(a == k) and np.any((a - k) * (b - k) < 0)     # both rules run
 
     spec = square_spec()
-    S_a, S_b = t.entropy_average(spec.dU, a), t.entropy_average(spec.dU, b)
+    S_a, S_b = entropy_average(t, spec.dU, a), entropy_average(t, spec.dU, b)
     if kind == LAX_FRIEDRICHS:
         G = 0.5 * (S_a + S_b) - 0.5 * t.lam * (spec.U(b) - spec.U(a))
     elif kind == GODUNOV:
@@ -961,10 +962,10 @@ def test_entropy_fluxes_match_pointwise_formulas_bitwise(path, kind):
         crit = t.crit[np.arange(mesh.n_faces), np.maximum(pick - 2, 0)]
         w_star = np.where(pick == 0, a, np.where(pick == 1, b, crit))
         assert np.any(pick >= 2)                                   # critical-point winners
-        G = t.entropy_average(spec.dU, w_star)
+        G = entropy_average(t, spec.dU, w_star)
     else:
         G = _eo_entropy_sorted_partition(nf, spec.dU, a, b, S_a, S_b)
-    # dU_degree None: the 24-point Phi_j of entropy_average
+    # dU_degree None: the 24-point Phi_j of identities.entropy_average
     same(nf.smooth_fluxes(spec.U, spec.dU, decomp, None), (G, S_a, S_b))
 
 
@@ -972,7 +973,7 @@ def _eo_entropy_sorted_partition(nf, dU, a, b, S_a, S_b):
     """The Engquist-Osher entropy flux 1/2 (S_a+S_b) - 1/2 sgn(b-a)
     sum sgn(Delta s) Delta S over a sorted partition built as in
     :func:`_variation_sorted_partition`, with s and S evaluated at every
-    interior point (S column by column by ``entropy_average``)."""
+    interior point (S column by column by ``identities.entropy_average``)."""
     t = nf.table
     lo = np.minimum(a, b)[:, None]
     hi = np.maximum(a, b)[:, None]
@@ -987,7 +988,7 @@ def _eo_entropy_sorted_partition(nf, dU, a, b, S_a, S_b):
     s_pts = at_points(t.s(a), t.s(b), t.s(inner))
     S_inner = np.empty_like(inner)
     for j in range(inner.shape[1]):
-        S_inner[:, j] = t.entropy_average(dU, inner[:, j])
+        S_inner[:, j] = entropy_average(t, dU, inner[:, j])
     S_pts = at_points(S_a, S_b, S_inner)
     tv_S = np.sum(np.sign(np.diff(s_pts, axis=1)) * np.diff(S_pts, axis=1), axis=1)
     return 0.5 * (S_a + S_b) - 0.5 * np.sign(b - a) * tv_S

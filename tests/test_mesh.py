@@ -8,7 +8,6 @@ from spherefv import (
     ConfigError,
     build_latlon,
     cell_averages,
-    face_average_normal_flux,
     make_flux,
     mesh_info,
 )
@@ -18,6 +17,21 @@ from identities import reduceat_cell_sum
 
 # signed zeros, units and tiny values, whose sums depend on the association
 _EDGE_VALUES = np.array([0.0, -0.0, 1.0, -1.0, 1e-300, -1e-300])
+
+
+def face_average_normal_flux(mesh, face_id, side_cell, flux, u):
+    """(1/|e|) integral of g(f(u, x), n_{e,K}(x)) over the face by its 3-node
+    rule, seen from ``side_cell`` (the normal points out of that cell)."""
+    if side_cell == mesh.face_left[face_id]:
+        sign = 1.0
+    elif side_cell == mesh.face_right[face_id]:
+        sign = -1.0
+    else:
+        raise ConfigError(f"cell {side_cell} is not adjacent to face {face_id}")
+    comp = np.asarray(flux.f(u, mesh.face_q_phi[face_id], mesh.face_q_theta[face_id]),
+                      dtype=float)
+    integrand = mesh.normal_component(comp, face_id)
+    return float(sign * np.dot(mesh.face_q_w[face_id], integrand) / mesh.face_measure[face_id])
 
 
 def test_band_cell_area_closed_form():
